@@ -70,8 +70,11 @@ alloc-gate-query:
 # iterations is enough to enforce the gate. The regex is a prefix match,
 # so it covers both the exact-path and the K=16 pruned-path benchmarks —
 # the latter gates the shared-stats workspace and bound accumulators.
+# The coordinator's simplex merge is bounded too: FitMerge at d=4 must
+# stay at or below 3,000 allocs/op (its sample set is built once per merge).
 alloc-gate:
 	$(GO) test -run '^$$' -bench 'BenchmarkSiteSteadyState' -benchtime 100x .
+	$(GO) test -run 'TestFitMergeAllocGate' -count=1 ./internal/gaussian/
 
 # Crash-recovery gate: the coordinator is killed mid-merge under 20%
 # message loss and must recover bit-identical state from its checkpoint +

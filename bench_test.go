@@ -516,6 +516,7 @@ func BenchmarkQuadFormPanel(b *testing.B) {
 func BenchmarkFitMerge(b *testing.B) {
 	a := gaussian.Spherical(linalg.Vector{-1, 0, 0, 0}, 1)
 	c := gaussian.Spherical(linalg.Vector{1, 0.5, 0, 0}, 1.5)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = gaussian.FitMerge(0.5, a, 0.5, c, gaussian.MergeOptions{Seed: 1})

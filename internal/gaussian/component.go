@@ -139,8 +139,12 @@ func (c *Component) MahalanobisSq(x linalg.Vector) float64 {
 
 // SampleInto draws one sample x = μ + L·z (z standard normal) into dst.
 func (c *Component) SampleInto(rng *rand.Rand, dst linalg.Vector) {
-	d := c.Dim()
-	z := make(linalg.Vector, d)
+	c.sampleScratch(rng, make(linalg.Vector, c.Dim()), dst)
+}
+
+// sampleScratch is SampleInto with a caller-provided z of dimension d, for
+// allocation-free sampling loops. It consumes the same d normals.
+func (c *Component) sampleScratch(rng *rand.Rand, z, dst linalg.Vector) {
 	for i := range z {
 		z[i] = rng.NormFloat64()
 	}

@@ -52,39 +52,103 @@ func L1Loss(wi float64, ci *Component, wj float64, cj *Component, merged *Compon
 	if nSamples <= 0 {
 		nSamples = 256
 	}
+	return newMergeSampler(wi, ci, wj, cj, nSamples, rng).loss(merged)
+}
+
+// mergeSampler is the Monte-Carlo sample set behind L1Loss. Everything
+// that depends only on the parent pair — the points x drawn from q, the
+// pair mass a(x) = w_i·p_i(x) + w_j·p_j(x), the sampling density
+// q(x) = a(x)/(w_i+w_j) and which samples are unusable — is computed once,
+// so scoring a candidate i′ costs one panel solve and one pass. FitMerge's
+// common random numbers make every objective evaluation draw the same
+// points, so it builds one sampler per merge and scores each simplex
+// vertex against it.
+type mergeSampler struct {
+	n int
+	w float64 // w_i + w_j
+	// pts holds the samples dimension-major: pts[i*n+s] is coordinate i of
+	// sample s, the layout Cholesky.QuadFormPanel solves in.
+	pts []float64
+	a   []float64
+	q   []float64
+	// skip marks samples with q ≤ 0, ±Inf or NaN; they add nothing to the
+	// sum but still count in the average.
+	skip []bool
+	// panel and quad are per-candidate scratch.
+	panel []float64
+	quad  []float64
+}
+
+// newMergeSampler draws n points from the normalized parent pair: for each
+// sample one Float64 picks the parent, then that parent's SampleInto
+// consumes d normals.
+func newMergeSampler(wi float64, ci *Component, wj float64, cj *Component, n int, rng *rand.Rand) *mergeSampler {
+	d := ci.Dim()
 	w := wi + wj
 	pi := wi / w
-	x := linalg.NewVector(ci.Dim())
-	var acc float64
-	for s := 0; s < nSamples; s++ {
+	s := &mergeSampler{
+		n:     n,
+		w:     w,
+		pts:   make([]float64, d*n),
+		a:     make([]float64, n),
+		q:     make([]float64, n),
+		skip:  make([]bool, n),
+		panel: make([]float64, d*n),
+		quad:  make([]float64, n),
+	}
+	scratch := make(linalg.Vector, 4*d)
+	x, z, diff, half := scratch[:d], scratch[d:2*d], scratch[2*d:3*d], scratch[3*d:]
+	for p := 0; p < n; p++ {
 		if rng.Float64() < pi {
-			ci.SampleInto(rng, x)
+			ci.sampleScratch(rng, z, x)
 		} else {
-			cj.SampleInto(rng, x)
+			cj.sampleScratch(rng, z, x)
 		}
-		a := wi*ci.Prob(x) + wj*cj.Prob(x)
-		b := w * merged.Prob(x)
+		for i, v := range x {
+			s.pts[i*n+p] = v
+		}
+		a := wi*math.Exp(ci.LogProbScratch(x, diff, half)) + wj*math.Exp(cj.LogProbScratch(x, diff, half))
 		q := a / w
-		if q <= 0 || math.IsInf(q, 0) || math.IsNaN(q) {
+		s.a[p], s.q[p] = a, q
+		s.skip[p] = q <= 0 || math.IsInf(q, 0) || math.IsNaN(q)
+	}
+	return s
+}
+
+// loss returns the L1 accuracy-loss estimate of merged against the sample
+// set, accumulating |a − b|/q in sample order.
+func (s *mergeSampler) loss(merged *Component) float64 {
+	n := s.n
+	for i, mi := range merged.mean {
+		row := s.panel[i*n : (i+1)*n]
+		for p, v := range s.pts[i*n : (i+1)*n] {
+			row[p] = v - mi
+		}
+	}
+	merged.chol.QuadFormPanel(s.panel, n, n, s.quad)
+	var acc float64
+	for p, quad := range s.quad {
+		if s.skip[p] {
 			continue
 		}
-		acc += math.Abs(a-b) / q
+		b := s.w * math.Exp(merged.logNorm-0.5*quad)
+		acc += math.Abs(s.a[p]-b) / s.q[p]
 	}
-	return acc / float64(nSamples)
+	return acc / float64(n)
 }
 
 // MergeOptions tunes FitMerge. The zero value selects the defaults the
 // experiments use.
 type MergeOptions struct {
-	// Samples is the Monte-Carlo sample count per objective evaluation
-	// (default 128).
+	// Samples is the size of the Monte-Carlo sample set every objective
+	// evaluation is scored against (default 128).
 	Samples int
 	// MaxIter caps simplex iterations (default 25·d — merging is on the
 	// coordinator's critical path, so the budget is deliberately tight).
 	MaxIter int
-	// Seed drives the common-random-numbers stream used across objective
-	// evaluations; fixed CRN makes the noisy objective coherent for the
-	// simplex. Zero means seed 1.
+	// Seed drives the common-random-numbers sample set shared by all
+	// objective evaluations; fixed CRN makes the noisy objective coherent
+	// for the simplex. Zero means seed 1.
 	Seed int64
 	// MomentOnly skips the simplex refinement and returns the moment merge
 	// directly (the ablation of DESIGN.md §5).
@@ -117,12 +181,18 @@ func FitMerge(wi float64, ci *Component, wj float64, cj *Component, opt MergeOpt
 		opt.MaxIter = 25 * d
 	}
 
+	// Common random numbers: every evaluation scores against the same
+	// sample set, drawn once from the seed.
+	crn := newMergeSampler(wi, ci, wj, cj, opt.Samples, rand.New(rand.NewSource(seed)))
+
 	// Parameter vector: [μ_1..μ_d, log s_1..log s_d] where Σ′ has entries
 	// Σ′[a][b] = s_a·s_b·Σ0[a][b] — a diagonal congruence of the moment
 	// covariance, which preserves positive definiteness for any s > 0.
+	// NewComponent copies what it keeps, so one covariance buffer serves
+	// every evaluation.
+	cov := linalg.NewSym(d)
 	obj := func(p []float64) float64 {
 		mean := linalg.Vector(p[:d])
-		cov := linalg.NewSym(d)
 		for a := 0; a < d; a++ {
 			sa := math.Exp(p[d+a])
 			// The merged covariance may shrink or grow only moderately
@@ -141,8 +211,7 @@ func FitMerge(wi float64, ci *Component, wj float64, cj *Component, opt MergeOpt
 		if err != nil {
 			return math.Inf(1)
 		}
-		// Common random numbers: same seed each evaluation.
-		return L1Loss(wi, ci, wj, cj, cand, opt.Samples, rand.New(rand.NewSource(seed)))
+		return crn.loss(cand)
 	}
 
 	p0 := make([]float64, 2*d)
@@ -152,13 +221,11 @@ func FitMerge(wi float64, ci *Component, wj float64, cj *Component, opt MergeOpt
 		return w, base
 	}
 	// Only accept the refined parameters if they actually improve on the
-	// moment merge under the same CRN stream.
-	baseLoss := L1Loss(wi, ci, wj, cj, base, opt.Samples, rand.New(rand.NewSource(seed)))
-	if res.F >= baseLoss {
+	// moment merge under the same CRN sample set.
+	if res.F >= crn.loss(base) {
 		return w, base
 	}
 	mean := linalg.Vector(res.X[:d]).Clone()
-	cov := linalg.NewSym(d)
 	for a := 0; a < d; a++ {
 		sa := math.Exp(res.X[d+a])
 		for b := 0; b <= a; b++ {
