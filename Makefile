@@ -3,7 +3,7 @@ VERSION ?= $(shell git describe --tags --always --dirty 2>/dev/null || echo dev)
 COMMIT ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo unknown)
 LDFLAGS := -ldflags "-X cludistream/internal/buildinfo.Version=$(VERSION) -X cludistream/internal/buildinfo.Commit=$(COMMIT)"
 
-.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 fuzz bench bench-compare obs-demo trace-demo dst dst-tree dst-long
+.PHONY: all build vet lint test race race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover check tier1 loc fuzz bench bench-compare obs-demo trace-demo dst dst-tree dst-long
 
 all: check
 
@@ -79,10 +79,12 @@ alloc-gate:
 # Crash-recovery gate: the coordinator is killed mid-merge under 20%
 # message loss and must recover bit-identical state from its checkpoint +
 # WAL store — in-process (chaos test) and across a real TCP server
-# restart with the reconnect handshake.
+# restart with the reconnect handshake. The shared receive pipeline's
+# table test and the WAL-refusal redelivery test run here too.
 recover:
 	$(GO) test -race -run 'TestChaosCoordinatorCrashRecovery' .
-	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix' ./internal/netio/
+	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix|TestWALRefusalRedeliversFrame' ./internal/netio/
+	$(GO) test -race -run 'TestReceiver' ./internal/durable/
 
 # Full pre-merge gate.
 check: build lint race-em race-parallel race-score race-query alloc-gate alloc-gate-query recover race dst dst-tree
@@ -113,6 +115,14 @@ dst-long:
 # The repo's minimal health check (see ROADMAP.md).
 tier1:
 	$(GO) build ./... && $(GO) test ./...
+
+# Go line counts of the tracked tree: production code (outside
+# perfbench/), tests, and the perfbench harness.
+loc:
+	@files=$$(git ls-files '*.go'); \
+	printf 'production %s\n' $$(echo "$$files" | grep -v '^perfbench/' | grep -v '_test\.go$$' | xargs cat | wc -l); \
+	printf 'test       %s\n' $$(echo "$$files" | grep -v '^perfbench/' | grep '_test\.go$$' | xargs cat | wc -l); \
+	printf 'perfbench  %s\n' $$(echo "$$files" | grep '^perfbench/' | xargs cat | wc -l)
 
 # Short fuzz pass over the wire decoders, the frame/ack protocol, and the
 # durable formats (site archive, coordinator checkpoint, WAL).

@@ -236,7 +236,6 @@ type System struct {
 	siteCfgs []site.Config // kept verbatim so CrashSite can rebuild a site
 	trackers []*window.Tracker
 	links    []*netsim.Link
-	coord    *coordinator.Coordinator
 	fed      []int // records fed per site (drives the virtual clock)
 
 	// outstanding mirrors, per site, each model's net record count at the
@@ -249,35 +248,23 @@ type System struct {
 	outstanding []map[int]int
 
 	// Fault-tolerant mode (cfg.Fault != nil): per-site couriers, sender
-	// epochs and sequence numbers, plus the coordinator-side dedupe table
-	// shared with netio.Server (durable.Dedupe). The table also exists in
-	// durable mode without faults so checkpoints always carry it.
+	// epochs and sequence numbers.
 	couriers []*netsim.Courier
 	epochs   []uint32
 	seqs     []uint64
-	ded      *durable.Dedupe
-	dup      int
-	resets   int
 
-	// Coordinator durability (cfg.Durability != nil).
-	store *durable.Store
+	// rcv is the coordinator's receive pipeline, shared with netio.Server
+	// and the tree runtime: it holds the coordinator, the dedupe table
+	// and, with cfg.Durability, the store. Unversioned (v1) messages
+	// bypass the dedupe table, so the fault-free figures are unaffected.
+	rcv   durable.Receiver
 	recov RecoveryStats
 
-	// Facade-level delivery instruments (nil ⇒ no-op).
-	teleDedupe *telemetry.Counter
-	teleResets *telemetry.Counter
 	// tracer is the registry's tracer when Config.Telemetry has tracing
 	// enabled (nil otherwise). The facade rebinds its clock to the
 	// simulator so every span timestamp is virtual time — deterministic
 	// under DST, and the freshness SLOs measure simulated lag.
 	tracer *telemetry.Tracer
-
-	// dedupeBroken disables the sequence-number half of the exactly-once
-	// dedupe — a deliberately injected bug used by the deterministic
-	// simulation tests to prove their invariant suite has teeth. Never set
-	// in production paths; see InjectDedupeFault. Mirrored into ded so it
-	// survives coordinator restarts.
-	dedupeBroken bool
 
 	deliveryErr error
 }
@@ -310,25 +297,21 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.store = store
-		s.coord = rec.Coord
-		s.ded = rec.Dedupe
+		s.rcv = durable.Receiver{Coord: rec.Coord, Dedupe: rec.Dedupe, Store: store}
 	} else {
 		coord, err := coordinator.New(coordCfg)
 		if err != nil {
 			return nil, err
 		}
-		s.coord = coord
-		if cfg.Fault != nil {
-			s.ded = durable.NewDedupe()
-		}
+		s.rcv = durable.Receiver{Coord: coord, Dedupe: durable.NewDedupe()}
 	}
 	if cfg.Telemetry != nil {
-		s.teleDedupe = cfg.Telemetry.Counter("coord.dedupe_dropped")
-		s.teleResets = cfg.Telemetry.Counter("coord.epoch_resets")
+		s.rcv.Tele.Duplicates = cfg.Telemetry.Counter("coord.dedupe_dropped")
+		s.rcv.Tele.SiteResets = cfg.Telemetry.Counter("coord.epoch_resets")
 		if tr := cfg.Telemetry.Tracer(); tr != nil {
 			tr.SetClock(s.sim.Now)
 			s.tracer = tr
+			s.rcv.Tracer = tr
 		}
 	}
 	if cfg.Fault != nil {
@@ -416,80 +399,20 @@ func (d *DurabilityConfig) storeOptions(reg *telemetry.Registry) (durable.Option
 }
 
 // deliver runs inside the simulation when a message arrives at the
-// coordinator. In durable mode the payload is WAL-logged first — replay
-// re-runs the byte stream through the identical dedupe-then-apply path —
-// and in fault-tolerant mode the dedupe mirrors netio.Server:
-// sequence-numbered messages are applied at most once per (site, epoch),
-// and a higher epoch resets the dead incarnation's state first.
+// coordinator: the receive pipeline logs, dedupes, applies and
+// checkpoints, and the first error of the run sticks.
 func (s *System) deliver(payload []byte) {
 	msg, err := transport.Decode(payload)
 	if err != nil {
 		s.deliveryErr = err
 		return
 	}
-	if s.store != nil {
-		walSpan := s.tracer.Begin(msg.TraceID, msg.SpanID, "wal-append", int(msg.SiteID), int(msg.ModelID))
-		err := s.store.Append(payload)
-		walSpan.End(len(payload), "")
-		if err != nil {
-			if s.deliveryErr == nil {
-				s.deliveryErr = err
-			}
-			return
-		}
-	}
-	if s.ded != nil {
-		verdict := s.ded.Admit(msg.SiteID, msg.Epoch, msg.Seq)
-		if s.tracer != nil && msg.TraceID != 0 {
-			now := s.tracer.Now()
-			s.tracer.Record(msg.TraceID, msg.SpanID, "dedupe",
-				int(msg.SiteID), int(msg.ModelID), now, now, 0, verdictNote(verdict))
-		}
-		switch verdict {
-		case durable.DropStale, durable.DropDuplicate:
-			s.dup++
-			s.teleDedupe.Inc()
-			return
-		case durable.AdmitNewEpoch:
-			s.coord.ResetSite(int(msg.SiteID))
-			s.resets++
-			s.teleResets.Inc()
-		}
-	}
-	switch msg.Kind {
-	case transport.MsgDeletion:
-		// Deletions carry no site.Update, so the trace context rides in
-		// side-band; HandleUpdate reads it off the update itself.
-		s.coord.SetTraceContext(msg.TraceID, msg.SpanID)
-		err = s.coord.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	default:
-		err = s.coord.HandleUpdate(msg.ToSiteUpdate())
-	}
-	if err != nil && s.deliveryErr == nil {
+	res := s.rcv.Step(payload, msg)
+	if err := res.Err(); err != nil && s.deliveryErr == nil {
 		s.deliveryErr = err
 	}
-	if s.cfg.OnApply != nil {
+	if res.Admitted() && s.cfg.OnApply != nil {
 		s.cfg.OnApply(msg)
-	}
-	if s.store != nil && s.store.NeedCheckpoint() {
-		if err := s.store.Checkpoint(s.coord, s.ded); err != nil && s.deliveryErr == nil {
-			s.deliveryErr = err
-		}
-	}
-}
-
-// verdictNote maps a dedupe verdict to the span note recorded on the
-// trace's "dedupe" span.
-func verdictNote(v durable.Verdict) string {
-	switch v {
-	case durable.DropDuplicate:
-		return "dup"
-	case durable.DropStale:
-		return "stale"
-	case durable.AdmitNewEpoch:
-		return "new-epoch"
-	default:
-		return "admit"
 	}
 }
 
@@ -499,10 +422,7 @@ func verdictNote(v durable.Verdict) string {
 // the exactly-once invariant catches a real dedupe regression; calling it
 // anywhere else forfeits the exactly-once guarantee.
 func (s *System) InjectDedupeFault() {
-	s.dedupeBroken = true
-	if s.ded != nil {
-		s.ded.Broken = true
-	}
+	s.rcv.Dedupe.Broken = true
 }
 
 // Feed delivers one record to site siteIdx (0-based). The simulated clock
@@ -636,17 +556,17 @@ func (s *System) CrashSite(siteIdx int) error {
 // byte-compared against the recovered state and any divergence returns
 // ErrRecoveryMismatch.
 func (s *System) CrashCoordinator() error {
-	if s.store == nil {
+	if s.rcv.Store == nil {
 		return fmt.Errorf("cludistream: CrashCoordinator requires Config.Durability")
 	}
 	var want []byte
 	if s.cfg.Durability.SelfCheck {
 		var err error
-		if want, err = encodeState(s.coord, s.ded, s.store.Applied()); err != nil {
+		if want, err = s.rcv.StateBytes(); err != nil {
 			return err
 		}
 	}
-	if err := s.store.Crash(); err != nil {
+	if err := s.rcv.Store.Crash(); err != nil {
 		return err
 	}
 	opts, err := s.cfg.Durability.storeOptions(s.cfg.Telemetry)
@@ -662,15 +582,14 @@ func (s *System) CrashCoordinator() error {
 	if err != nil {
 		return err
 	}
-	s.store = store
-	s.coord = rec.Coord
-	s.ded = rec.Dedupe
-	s.ded.Broken = s.dedupeBroken
+	// An injected dedupe fault survives the restart.
+	rec.Dedupe.Broken = s.rcv.Dedupe.Broken
+	s.rcv.Coord, s.rcv.Dedupe, s.rcv.Store = rec.Coord, rec.Dedupe, store
 	s.recov.Restarts++
 	s.recov.RecordsReplayed += rec.RecordsReplayed
 	s.recov.TornBytes += rec.TornBytes
 	if want != nil {
-		got, err := encodeState(s.coord, s.ded, s.store.Applied())
+		got, err := s.rcv.StateBytes()
 		if err != nil {
 			return err
 		}
@@ -697,17 +616,6 @@ func (s *System) RestartCoordinatorAt(t float64) {
 // Recovery returns the accumulated coordinator crash-recovery counters.
 func (s *System) Recovery() RecoveryStats { return s.recov }
 
-// encodeState serializes the full durable state for self-check
-// comparison.
-func encodeState(coord *coordinator.Coordinator, ded *durable.Dedupe, applied uint64) ([]byte, error) {
-	var buf bytes.Buffer
-	st := &persist.CoordinatorState{Applied: applied, Snapshot: coord.Snapshot(), Dedupe: ded.Entries()}
-	if err := persist.SaveCoordinatorState(&buf, st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // FeedRoundRobin distributes the records across all sites in round-robin
 // order — the simplest way to drive a whole deployment from one stream.
 func (s *System) FeedRoundRobin(records []linalg.Vector) error {
@@ -727,7 +635,7 @@ func (s *System) Drain() error {
 }
 
 // GlobalMixture returns the coordinator's merged model (after Drain).
-func (s *System) GlobalMixture() *gaussian.Mixture { return s.coord.GlobalMixture() }
+func (s *System) GlobalMixture() *gaussian.Mixture { return s.rcv.Coord.GlobalMixture() }
 
 // Site returns site i (0-based).
 func (s *System) Site(i int) *site.Site { return s.sites[i] }
@@ -736,7 +644,7 @@ func (s *System) Site(i int) *site.Site { return s.sites[i] }
 func (s *System) NumSites() int { return len(s.sites) }
 
 // Coordinator exposes the coordinator for inspection.
-func (s *System) Coordinator() *coordinator.Coordinator { return s.coord }
+func (s *System) Coordinator() *coordinator.Coordinator { return s.rcv.Coord }
 
 // Now returns the simulated time in seconds.
 func (s *System) Now() float64 { return s.sim.Now() }
@@ -781,8 +689,9 @@ func (s *System) DeliveryStats() DeliveryStats {
 		d.Retries += c.Retries()
 		d.Pending += c.Pending()
 	}
-	d.Duplicates = s.dup
-	d.SiteResets = s.resets
+	rs := s.rcv.Stats()
+	d.Duplicates = rs.Duplicates
+	d.SiteResets = rs.SiteResets
 	return d
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"cludistream"
 	"cludistream/internal/coordinator"
+	"cludistream/internal/durable"
 	"cludistream/internal/linalg"
 	"cludistream/internal/query"
 	"cludistream/internal/telemetry"
@@ -157,14 +158,7 @@ func (c *checker) onApply(msg transport.Message) {
 	// Feed the reference coordinator the same update and compare the full
 	// per-model weight tables: a dedupe bug that slips a duplicate through
 	// any other path shows up as a counter mismatch here.
-	var err error
-	switch msg.Kind {
-	case transport.MsgDeletion:
-		err = c.ref.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	default:
-		err = c.ref.HandleUpdate(msg.ToSiteUpdate())
-	}
-	if err != nil {
+	if err := durable.Apply(c.ref, msg); err != nil {
 		c.fail("exactly-once", fmt.Sprintf("reference coordinator rejected replayed update: %v", err))
 		return
 	}

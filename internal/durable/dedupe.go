@@ -1,13 +1,13 @@
-// Package durable makes the coordinator crash-survivable: a Store owns a
-// checkpoint + write-ahead-log pair in a state directory, and recovery
-// (Open) rebuilds the coordinator and its exactly-once dedupe table
-// bit-identically — load the latest checkpoint, replay the WAL tail
-// through the same dedupe-then-apply path the live server uses, rotate to
-// a fresh generation.
+// Package durable makes the coordinator crash-survivable and its updates
+// exactly-once. A Store owns a checkpoint + write-ahead-log pair in a
+// state directory, and recovery (Open) rebuilds the coordinator and its
+// exactly-once dedupe table bit-identically — load the latest checkpoint,
+// replay the WAL tail, rotate to a fresh generation.
 //
-// The package also centralizes the dedupe protocol itself (Dedupe), which
-// was previously duplicated between netio.Server and the cludistream
-// facade: one implementation, three users, no drift.
+// The package also owns the receive pipeline itself: Receiver runs the
+// WAL-append, Dedupe verdict, reset-or-apply and checkpoint sequence for
+// the simulated facade, the tree deployment, the TCP server and WAL
+// replay — one implementation, four users, no drift.
 package durable
 
 import (

@@ -43,15 +43,17 @@ func weightMsg(siteID, modelID int32, seq uint64, delta int64) transport.Message
 	}
 }
 
-// applyLive mirrors the server's apply protocol: WAL-append first, then
-// dedupe-then-apply. A failed append would nack the frame, so nothing is
-// applied that was not logged.
+// applyLive mirrors the live receive path: WAL-append first, then the
+// receiver's dedupe-then-apply. The append is explicit so the tests choose
+// when to checkpoint.
 func applyLive(t *testing.T, s *Store, coord *coordinator.Coordinator, ded *Dedupe, msg transport.Message) {
 	t.Helper()
-	if err := s.Append(transport.Encode(msg)); err != nil {
+	payload := transport.Encode(msg)
+	if err := s.Append(payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReplayApply(coord, ded, msg); err != nil {
+	rcv := Receiver{Coord: coord, Dedupe: ded}
+	if err := rcv.Step(payload, msg).Err(); err != nil {
 		t.Fatal(err)
 	}
 }

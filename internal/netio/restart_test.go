@@ -2,6 +2,7 @@ package netio
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -192,13 +193,15 @@ func TestServerRestartRecoveryOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	refDed := durable.NewDedupe()
+	ref := durable.Receiver{Coord: refCoord, Dedupe: refDed}
 	for i, m := range stream {
 		m.Epoch, m.Seq = 1, uint64(i+1)
-		msg, err := transport.Decode(transport.Encode(m))
+		payload := transport.Encode(m)
+		msg, err := transport.Decode(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := durable.ReplayApply(refCoord, refDed, msg); err != nil {
+		if err := ref.Step(payload, msg).Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,5 +221,98 @@ func TestServerRestartRecoveryOverTCP(t *testing.T) {
 	}
 	if got := coordStateBytes(t, rec3.Coord, rec3.Dedupe, store3.Applied()); !bytes.Equal(got, want) {
 		t.Fatal("second recovery diverged from the reference state")
+	}
+}
+
+// TestWALRefusalRedeliversFrame: when the WAL refuses a frame, the server
+// must neither apply nor ack it. It drops the connection instead, the
+// client reconnects, the handshake watermark does not cover the frame, and
+// the frame is sent again — applied exactly once, never counted as a
+// coordinator rejection.
+func TestWALRefusalRedeliversFrame(t *testing.T) {
+	dir := t.TempDir()
+	cfg := coordinator.Config{Dim: 1, Merge: gaussian.MergeOptions{MomentOnly: true}}
+	store, rec, err := durable.Open(dir, cfg, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServerOpts("127.0.0.1:0", rec.Coord, ServerOptions{Store: store, Dedupe: rec.Dedupe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One WAL append fails: the frame with seq 3, on its first arrival.
+	const refuseSeq = 3
+	refused := 0
+	srv.mu.Lock()
+	step := srv.step
+	srv.step = func(payload []byte, msg transport.Message) durable.Result {
+		if msg.Seq == refuseSeq && refused == 0 {
+			refused++
+			return durable.Result{WALErr: errors.New("injected WAL append failure")}
+		}
+		return step(payload, msg)
+	}
+	srv.mu.Unlock()
+
+	conn, err := DialConnRetry(srv.Addr().String(), restartPolicy(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	stream := []transport.Message{
+		{Kind: transport.MsgNewModel, SiteID: 7, ModelID: 1, Count: 200, Mixture: regime(0)},
+		{Kind: transport.MsgNewModel, SiteID: 7, ModelID: 2, Count: 200, Mixture: regime(300)},
+		{Kind: transport.MsgWeightUpdate, SiteID: 7, ModelID: 1, Count: 100},
+		{Kind: transport.MsgNewModel, SiteID: 7, ModelID: 3, Count: 200, Mixture: regime(-300)},
+		{Kind: transport.MsgWeightUpdate, SiteID: 7, ModelID: 2, Count: 50},
+	}
+	for _, m := range stream {
+		if err := conn.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := conn.Flush(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if refused != 1 {
+		t.Fatalf("the injected WAL failure fired %d times, want 1", refused)
+	}
+	d := conn.Delivery()
+	if d.Rejected != 0 || d.Acked != len(stream) || d.Queued != 0 {
+		t.Fatalf("client delivery after a WAL refusal: %+v", d)
+	}
+	if d.Reconnects == 0 {
+		t.Fatal("client never reconnected — the refused frame was acked or nacked in place")
+	}
+	ss := srv.DeliveryStats()
+	if ss.Applied != len(stream) || ss.ApplyErrors != 0 {
+		t.Fatalf("server stats after a WAL refusal: %+v", ss)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Exactly once, and durably: the recovered state equals the stream
+	// applied by an uninterrupted receiver.
+	ref := durable.Receiver{Coord: newCoord(t), Dedupe: durable.NewDedupe()}
+	for i, m := range stream {
+		m.Epoch, m.Seq = 1, uint64(i+1)
+		payload := transport.Encode(m)
+		msg, err := transport.Decode(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Step(payload, msg).Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store2, rec2, err := durable.Open(dir, cfg, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	want := coordStateBytes(t, ref.Coord, ref.Dedupe, uint64(ss.Applied+ss.Duplicates))
+	if got := coordStateBytes(t, rec2.Coord, rec2.Dedupe, store2.Applied()); !bytes.Equal(got, want) {
+		t.Fatalf("recovered state differs from the uninterrupted reference (%d vs %d bytes)", len(got), len(want))
 	}
 }

@@ -2,6 +2,7 @@ package netio
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
@@ -15,33 +16,29 @@ import (
 )
 
 // Server is the coordinator endpoint: it accepts site connections, decodes
-// frames, and applies them to the shared Coordinator under a mutex. It is
-// safe for any number of concurrent site connections. With a durable.Store
-// attached, every decodable frame is logged to the WAL *before* the
-// dedupe-then-apply sequence runs, so a crash-recovered server replays the
-// byte stream through the identical path and lands on identical state; a
-// frame the WAL refuses is nacked with no state change and the site
-// retries it.
+// frames, and runs them through the coordinator's receive pipeline
+// (durable.Receiver) under a mutex. It is safe for any number of
+// concurrent site connections. Retransmitted frames and frames from dead
+// incarnations are acked without re-applying, making delivery
+// exactly-once in effect. With a durable.Store attached, every decodable
+// frame is logged to the WAL *before* the dedupe verdict, so a
+// crash-recovered server replays the byte stream through the identical
+// path and lands on identical state. A frame the WAL refuses changes no
+// state and is not acked: the server drops the connection, the site
+// reconnects, and since the handshake watermark does not cover the frame,
+// the site sends it again.
 type Server struct {
-	ln    net.Listener
-	coord *coordinator.Coordinator
+	ln net.Listener
 	// Logf receives connection-level errors; nil silences them. Set before
 	// Serve is running.
 	Logf func(format string, args ...any)
 
-	mu       sync.Mutex // guards coord, store, counters and dedupe state
-	bytesIn  int
-	messages int
-	applyErr int
-	dup      int
-	dupBytes int
-	resets   int
-	// ded tracks the highest (epoch, seq) applied per site; retransmitted
-	// frames and frames from dead incarnations are acked without
-	// re-applying, making delivery exactly-once in effect.
-	ded   *durable.Dedupe
-	store *durable.Store
-	tele  serverTele
+	mu         sync.Mutex // guards rcv and decodeErrs
+	rcv        durable.Receiver
+	decodeErrs int
+	tele       serverTele
+	// step is rcv.Step; tests swap it to inject faults.
+	step func([]byte, transport.Message) durable.Result
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -51,19 +48,13 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// serverTele holds the coordinator endpoint's receive-side instruments
-// (all nil ⇒ no-op).
+// serverTele holds the coordinator endpoint's instruments (all nil ⇒
+// no-op).
 type serverTele struct {
-	reg        *telemetry.Registry
-	tracer     *telemetry.Tracer
-	bytesIn    *telemetry.Counter
-	applied    *telemetry.Counter
-	applyErrs  *telemetry.Counter
-	dups       *telemetry.Counter
-	dupBytes   *telemetry.Counter
-	siteResets *telemetry.Counter
-	hellos     *telemetry.Counter
-	walErrs    *telemetry.Counter
+	tracer  *telemetry.Tracer
+	hellos  *telemetry.Counter
+	walErrs *telemetry.Counter
+	rcv     durable.ReceiveTele // the receive counters, bumped by the Receiver
 }
 
 func newServerTele(reg *telemetry.Registry) serverTele {
@@ -71,16 +62,17 @@ func newServerTele(reg *telemetry.Registry) serverTele {
 		return serverTele{}
 	}
 	return serverTele{
-		reg:        reg,
-		tracer:     reg.Tracer(),
-		bytesIn:    reg.Counter("srv.bytes_in"),
-		applied:    reg.Counter("srv.applied"),
-		applyErrs:  reg.Counter("srv.apply_errors"),
-		dups:       reg.Counter("srv.duplicates"),
-		dupBytes:   reg.Counter("srv.duplicate_bytes"),
-		siteResets: reg.Counter("srv.site_resets"),
-		hellos:     reg.Counter("srv.hellos"),
-		walErrs:    reg.Counter("srv.wal_errors"),
+		tracer:  reg.Tracer(),
+		hellos:  reg.Counter("srv.hellos"),
+		walErrs: reg.Counter("srv.wal_errors"),
+		rcv: durable.ReceiveTele{
+			BytesIn:        reg.Counter("srv.bytes_in"),
+			Applied:        reg.Counter("srv.applied"),
+			ApplyErrors:    reg.Counter("srv.apply_errors"),
+			Duplicates:     reg.Counter("srv.duplicates"),
+			DuplicateBytes: reg.Counter("srv.duplicate_bytes"),
+			SiteResets:     reg.Counter("srv.site_resets"),
+		},
 	}
 }
 
@@ -123,15 +115,18 @@ func NewServerOpts(addr string, coord *coordinator.Coordinator, opts ServerOptio
 	if ded == nil {
 		ded = durable.NewDedupe()
 	}
+	tele := newServerTele(opts.Telemetry)
 	s := &Server{
 		ln:      ln,
-		coord:   coord,
 		conns:   make(map[net.Conn]struct{}),
 		closing: make(chan struct{}),
-		ded:     ded,
-		store:   opts.Store,
-		tele:    newServerTele(opts.Telemetry),
+		rcv: durable.Receiver{
+			Coord: coord, Dedupe: ded, Store: opts.Store,
+			Tracer: tele.tracer, Tele: tele.rcv,
+		},
+		tele: tele,
 	}
+	s.step = s.rcv.Step
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s, nil
@@ -200,7 +195,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		if err := s.respond(conn, payload); err != nil {
-			s.logf("netio: ack to %v: %v", conn.RemoteAddr(), err)
+			s.logf("netio: conn %v: %v", conn.RemoteAddr(), err)
 			return
 		}
 	}
@@ -213,14 +208,14 @@ func (s *Server) respond(conn net.Conn, payload []byte) error {
 	if err != nil {
 		s.logf("netio: decode: %v", err)
 		s.mu.Lock()
-		s.applyErr++
+		s.decodeErrs++
 		s.mu.Unlock()
-		s.tele.applyErrs.Inc()
+		s.tele.rcv.ApplyErrors.Inc()
 		return writeAck(conn, false)
 	}
 	if msg.Kind == transport.MsgHello {
 		s.mu.Lock()
-		w := s.ded.Watermark(msg.SiteID)
+		w := s.rcv.Dedupe.Watermark(msg.SiteID)
 		s.mu.Unlock()
 		s.tele.hellos.Inc()
 		// Grant the trace-suffix capability only when the site asked for it
@@ -228,93 +223,37 @@ func (s *Server) respond(conn net.Conn, payload []byte) error {
 		traced := msg.Count&helloTraceBit != 0 && s.tele.tracer != nil
 		return writeWatermarkAck(conn, w.Epoch, w.MaxSeq, traced)
 	}
-	return writeAck(conn, s.apply(payload, msg))
+	ok, err := s.apply(payload, msg)
+	if err != nil {
+		return err
+	}
+	return writeAck(conn, ok)
 }
 
-// apply logs and applies one decoded message, returning whether it
-// succeeded. Versioned messages are deduped by (site, epoch, seq):
-// duplicates are acked without re-applying, and a higher epoch first
-// resets the site's coordinator state (the restarted site replays its
-// model list).
-func (s *Server) apply(payload []byte, msg transport.Message) bool {
+// apply runs one decoded message through the receive pipeline and
+// reports whether to ack it: duplicates are acked without re-applying and
+// a rejected apply is nacked. A WAL refusal is returned as an error, so
+// the connection closes unacked and the site redelivers the frame.
+func (s *Server) apply(payload []byte, msg transport.Message) (bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.bytesIn += len(payload)
-	s.tele.bytesIn.Add(int64(len(payload)))
-	if s.store != nil {
-		// Log before mutating anything: a frame the WAL cannot hold is
-		// refused with the dedupe watermark untouched, so the site's retry
-		// of the same (epoch, seq) is admitted, not dropped as a duplicate.
-		walSpan := s.tele.tracer.Begin(msg.TraceID, msg.SpanID, "wal-append", int(msg.SiteID), int(msg.ModelID))
-		err := s.store.Append(payload)
-		walSpan.End(len(payload), "")
-		if err != nil {
-			s.logf("netio: wal append: %v", err)
-			s.tele.walErrs.Inc()
-			return false
-		}
+	res := s.step(payload, msg)
+	if res.WALErr != nil {
+		s.tele.walErrs.Inc()
+		return false, fmt.Errorf("wal append, dropping connection for redelivery: %w", res.WALErr)
 	}
-	verdict := s.ded.Admit(msg.SiteID, msg.Epoch, msg.Seq)
-	if s.tele.tracer != nil && msg.TraceID != 0 {
-		now := s.tele.tracer.Now()
-		s.tele.tracer.Record(msg.TraceID, msg.SpanID, "dedupe",
-			int(msg.SiteID), int(msg.ModelID), now, now, 0, dedupeNote(verdict))
-	}
-	switch verdict {
-	case durable.DropStale, durable.DropDuplicate:
-		// Ack so the sender stops retrying, but never (re-)apply.
-		s.dup++
-		s.dupBytes += len(payload)
-		s.tele.dups.Inc()
-		s.tele.dupBytes.Add(int64(len(payload)))
-		return true
-	case durable.AdmitNewEpoch:
-		s.coord.ResetSite(int(msg.SiteID))
-		s.resets++
-		s.tele.siteResets.Inc()
+	if res.Verdict == durable.AdmitNewEpoch {
 		s.logf("netio: site %d returned with epoch %d, state reset", msg.SiteID, msg.Epoch)
 	}
-	s.messages++
-	s.tele.applied.Inc()
-	var err error
-	switch msg.Kind {
-	case transport.MsgDeletion:
-		// Deletions carry no site.Update, so the trace context rides in
-		// side-band; updates carry their own (see coordinator.HandleUpdate).
-		s.coord.SetTraceContext(msg.TraceID, msg.SpanID)
-		err = s.coord.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	default:
-		err = s.coord.HandleUpdate(msg.ToSiteUpdate())
+	if res.ApplyErr != nil {
+		s.logf("netio: apply %v from site %d: %v", msg.Kind, msg.SiteID, res.ApplyErr)
 	}
-	ok := err == nil
-	if !ok {
-		s.applyErr++
-		s.tele.applyErrs.Inc()
-		s.logf("netio: apply %v from site %d: %v", msg.Kind, msg.SiteID, err)
+	if res.CheckpointErr != nil {
+		// The previous generation stays armed; replay just gets longer.
+		s.logf("netio: checkpoint: %v", res.CheckpointErr)
+		s.tele.walErrs.Inc()
 	}
-	if s.store != nil && s.store.NeedCheckpoint() {
-		if cerr := s.store.Checkpoint(s.coord, s.ded); cerr != nil {
-			// The previous generation stays armed; replay just gets longer.
-			s.logf("netio: checkpoint: %v", cerr)
-			s.tele.walErrs.Inc()
-		}
-	}
-	return ok
-}
-
-// dedupeNote maps a dedupe verdict to the note on the trace's "dedupe"
-// span.
-func dedupeNote(v durable.Verdict) string {
-	switch v {
-	case durable.DropDuplicate:
-		return "dup"
-	case durable.DropStale:
-		return "stale"
-	case durable.AdmitNewEpoch:
-		return "new-epoch"
-	default:
-		return "admit"
-	}
+	return res.ApplyErr == nil, nil
 }
 
 // Snapshot runs fn with the coordinator locked — the only safe way to read
@@ -322,45 +261,27 @@ func dedupeNote(v durable.Verdict) string {
 func (s *Server) Snapshot(fn func(*coordinator.Coordinator)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fn(s.coord)
+	fn(s.rcv.Coord)
 }
 
-// Stats returns (bytes received, messages applied, apply errors).
+// Stats returns (bytes received, frames admitted, apply errors).
 func (s *Server) Stats() (bytesIn, messages, applyErrors int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytesIn, s.messages, s.applyErr
+	d := s.DeliveryStats()
+	return d.BytesIn, d.Applied, d.ApplyErrors
 }
 
-// ServerStats is the coordinator-side delivery accounting.
-type ServerStats struct {
-	// BytesIn counts every received payload byte, duplicates included.
-	BytesIn int
-	// Applied is the number of messages applied to the coordinator.
-	Applied int
-	// ApplyErrors counts undecodable or refused messages.
-	ApplyErrors int
-	// Duplicates / DuplicateBytes count retransmitted frames that were
-	// acked without re-applying — the receive-side view of retransmission
-	// overhead.
-	Duplicates     int
-	DuplicateBytes int
-	// SiteResets counts epoch bumps that discarded a dead incarnation.
-	SiteResets int
-}
+// ServerStats is the coordinator-side delivery accounting: the receive
+// pipeline's counters, with undecodable frames also counted in
+// ApplyErrors.
+type ServerStats = durable.ReceiveStats
 
 // DeliveryStats returns the full fault-tolerance counters.
 func (s *Server) DeliveryStats() ServerStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return ServerStats{
-		BytesIn:        s.bytesIn,
-		Applied:        s.messages,
-		ApplyErrors:    s.applyErr,
-		Duplicates:     s.dup,
-		DuplicateBytes: s.dupBytes,
-		SiteResets:     s.resets,
-	}
+	st := s.rcv.Stats()
+	st.ApplyErrors += s.decodeErrs
+	return st
 }
 
 // Close stops accepting, severs every live site connection and waits for
@@ -371,11 +292,11 @@ func (s *Server) Close() error {
 	err := s.sever()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.store != nil {
-		if cerr := s.store.Close(); err == nil {
+	if s.rcv.Store != nil {
+		if cerr := s.rcv.Store.Close(); err == nil {
 			err = cerr
 		}
-		s.store = nil
+		s.rcv.Store = nil
 	}
 	return err
 }
@@ -402,14 +323,14 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	s.connMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.store != nil {
-		if cerr := s.store.Checkpoint(s.coord, s.ded); cerr != nil && err == nil {
+	if st := s.rcv.Store; st != nil {
+		if cerr := st.Checkpoint(s.rcv.Coord, s.rcv.Dedupe); cerr != nil && err == nil {
 			err = cerr
 		}
-		if cerr := s.store.Close(); cerr != nil && err == nil {
+		if cerr := st.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
-		s.store = nil
+		s.rcv.Store = nil
 	}
 	return err
 }

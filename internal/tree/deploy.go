@@ -117,17 +117,14 @@ type node struct {
 	idx      int
 	pseudoID int // sender id at its parent (0 for the root)
 	depth    int
-	coord    *coordinator.Coordinator
-	ded      *durable.Dedupe
-	store    *durable.Store // nil unless this node has scheduled crashes
+	// rcv holds the node's coordinator and dedupe table, plus a durable
+	// store when the node has scheduled crashes.
+	rcv      durable.Receiver
 	stateDir string
 	mirror   *hier.UploadMirror // nil for the root
 	up       *edge              // nil for the root
 	crashed  bool
 	preCrash []byte // SelfCheck state snapshot taken at crash time
-
-	duplicates int
-	resets     int
 }
 
 type leafNode struct {
@@ -208,13 +205,13 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 			if err != nil {
 				return nil, err
 			}
-			nd.store, nd.coord, nd.ded = store, rec.Coord, rec.Dedupe
+			nd.rcv = durable.Receiver{Coord: rec.Coord, Dedupe: rec.Dedupe, Store: store}
 		} else {
 			coord, err := coordinator.New(cfg.Coord)
 			if err != nil {
 				return nil, err
 			}
-			nd.coord, nd.ded = coord, durable.NewDedupe()
+			nd.rcv = durable.Receiver{Coord: coord, Dedupe: durable.NewDedupe()}
 		}
 		if n > 0 {
 			nd.mirror = &hier.UploadMirror{
@@ -345,8 +342,9 @@ func (d *Deployment) send(e *edge, msg transport.Message) {
 	e.cour.Send(payload)
 }
 
-// deliver is every edge's receive path: WAL-append before dedupe (crashing
-// nodes), admit, apply, observe, upload-on-change toward the parent.
+// deliver is every edge's receive path: the node's receive pipeline
+// (WAL-append on crashing nodes, admit, apply, checkpoint), then observe
+// and upload-on-change toward the parent.
 func (d *Deployment) deliver(e *edge, payload []byte) {
 	if d.deliveryErr != nil {
 		return
@@ -362,42 +360,23 @@ func (d *Deployment) deliver(e *edge, payload []byte) {
 		d.deliveryErr = fmt.Errorf("tree: node %d decode: %w", n.idx, err)
 		return
 	}
-	if n.store != nil {
-		if err := n.store.Append(payload); err != nil {
-			d.deliveryErr = fmt.Errorf("tree: node %d WAL append: %w", n.idx, err)
-			return
-		}
-	}
-	switch n.ded.Admit(msg.SiteID, msg.Epoch, msg.Seq) {
-	case durable.DropStale, durable.DropDuplicate:
-		n.duplicates++
+	res := n.rcv.Step(payload, msg)
+	switch {
+	case res.WALErr != nil:
+		d.deliveryErr = fmt.Errorf("tree: node %d WAL append: %w", n.idx, res.WALErr)
 		return
-	case durable.AdmitNewEpoch:
-		n.coord.ResetSite(int(msg.SiteID))
-		n.resets++
-	}
-	if msg.Kind == transport.MsgDeletion {
-		err = n.coord.HandleDeletion(int(msg.SiteID), int(msg.ModelID), int(msg.Count))
-	} else {
-		err = n.coord.HandleUpdate(msg.ToSiteUpdate())
-	}
-	if err != nil && d.deliveryErr == nil {
-		d.deliveryErr = fmt.Errorf("tree: node %d apply: %w", n.idx, err)
+	case !res.Admitted():
+		return
+	case res.ApplyErr != nil:
+		d.deliveryErr = fmt.Errorf("tree: node %d apply: %w", n.idx, res.ApplyErr)
+	case res.CheckpointErr != nil:
+		d.deliveryErr = fmt.Errorf("tree: node %d checkpoint: %w", n.idx, res.CheckpointErr)
 	}
 	// Observers see the message even when the apply was rejected — a
 	// rejected duplicate is exactly what the DST shadow dedupe wants to
 	// pin, matching the facade's OnApply semantics.
 	if d.cfg.OnApply != nil {
 		d.cfg.OnApply(n.idx, msg)
-	}
-	if d.deliveryErr != nil {
-		return
-	}
-	if n.store != nil && n.store.NeedCheckpoint() {
-		if err := n.store.Checkpoint(n.coord, n.ded); err != nil {
-			d.deliveryErr = fmt.Errorf("tree: node %d checkpoint: %w", n.idx, err)
-			return
-		}
 	}
 	d.syncUp(n)
 }
@@ -407,7 +386,7 @@ func (d *Deployment) syncUp(n *node) {
 	if n.up == nil || d.deliveryErr != nil {
 		return
 	}
-	for _, msg := range n.mirror.Sync(n.coord.GlobalMixture(), n.coord.TotalWeight()) {
+	for _, msg := range n.mirror.Sync(n.rcv.Coord.GlobalMixture(), n.rcv.Coord.TotalWeight()) {
 		d.send(n.up, msg)
 	}
 }
@@ -418,14 +397,14 @@ func (d *Deployment) crashNode(n *node) {
 	}
 	n.crashed = true
 	if d.cfg.SelfCheck {
-		want, err := encodeNodeState(n)
+		want, err := n.rcv.StateBytes()
 		if err != nil {
 			d.deliveryErr = err
 			return
 		}
 		n.preCrash = want
 	}
-	if err := n.store.Crash(); err != nil {
+	if err := n.rcv.Store.Crash(); err != nil {
 		d.deliveryErr = fmt.Errorf("tree: node %d crash: %w", n.idx, err)
 		return
 	}
@@ -444,13 +423,13 @@ func (d *Deployment) recoverNode(n *node) {
 		d.deliveryErr = fmt.Errorf("tree: node %d recover: %w", n.idx, err)
 		return
 	}
-	n.store, n.coord, n.ded = store, rec.Coord, rec.Dedupe
+	n.rcv.Coord, n.rcv.Dedupe, n.rcv.Store = rec.Coord, rec.Dedupe, store
 	n.crashed = false
 	d.recov.Restarts++
 	d.recov.RecordsReplayed += rec.RecordsReplayed
 	d.recov.TornBytes += rec.TornBytes
 	if n.preCrash != nil {
-		got, err := encodeNodeState(n)
+		got, err := n.rcv.StateBytes()
 		if err != nil {
 			d.deliveryErr = err
 			return
@@ -471,17 +450,6 @@ func (d *Deployment) recoverNode(n *node) {
 		n.mirror.Reset()
 		d.syncUp(n)
 	}
-}
-
-func encodeNodeState(n *node) ([]byte, error) {
-	var buf bytes.Buffer
-	st := &persist.CoordinatorState{
-		Applied: n.store.Applied(), Snapshot: n.coord.Snapshot(), Dedupe: n.ded.Entries(),
-	}
-	if err := persist.SaveCoordinatorState(&buf, st); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // Feed hands one record to leaf i, advancing the virtual clock by the
@@ -548,8 +516,8 @@ func (d *Deployment) Drain() error {
 func (d *Deployment) Close() error {
 	var first error
 	for _, n := range d.nodes {
-		if n.store != nil && !n.crashed {
-			if err := n.store.Close(); err != nil && first == nil {
+		if n.rcv.Store != nil && !n.crashed {
+			if err := n.rcv.Store.Close(); err != nil && first == nil {
 				first = err
 			}
 		}
@@ -562,7 +530,7 @@ func (d *Deployment) Close() error {
 // teeth. Never set in production paths.
 func (d *Deployment) InjectDedupeFault() {
 	for _, n := range d.nodes {
-		n.ded.Broken = true
+		n.rcv.Dedupe.Broken = true
 	}
 }
 
@@ -581,13 +549,13 @@ func (d *Deployment) Now() float64 { return d.sim.Now() }
 func (d *Deployment) LeafSite(i int) *site.Site { return d.leaves[i].st }
 
 // NodeCoordinator returns internal node n's coordinator.
-func (d *Deployment) NodeCoordinator(n int) *coordinator.Coordinator { return d.nodes[n].coord }
+func (d *Deployment) NodeCoordinator(n int) *coordinator.Coordinator { return d.nodes[n].rcv.Coord }
 
 // NodePseudoID returns the wire id node n presents to its parent.
 func (d *Deployment) NodePseudoID(n int) int { return d.nodes[n].pseudoID }
 
 // RootMixture returns the root coordinator's merged model.
-func (d *Deployment) RootMixture() *gaussian.Mixture { return d.nodes[0].coord.GlobalMixture() }
+func (d *Deployment) RootMixture() *gaussian.Mixture { return d.nodes[0].rcv.Coord.GlobalMixture() }
 
 // Recovery returns crash/recovery accounting.
 func (d *Deployment) Recovery() RecoveryStats { return d.recov }
