@@ -80,10 +80,11 @@ alloc-gate:
 # message loss and must recover bit-identical state from its checkpoint +
 # WAL store — in-process (chaos test) and across a real TCP server
 # restart with the reconnect handshake. The shared receive pipeline's
-# table test and the WAL-refusal redelivery test run here too.
+# table test, the WAL-refusal redelivery test, and the send path's
+# aggregator-restart and sliding-window parity tests run here too.
 recover:
 	$(GO) test -race -run 'TestChaosCoordinatorCrashRecovery' .
-	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix|TestWALRefusalRedeliversFrame' ./internal/netio/
+	$(GO) test -race -run 'TestServerRestartRecoveryOverTCP|TestHandshakePrunesRecoveredSuffix|TestWALRefusalRedeliversFrame|TestAggregatorRestartReplacesMixture|TestSlidingParityOverTCP' ./internal/netio/
 	$(GO) test -race -run 'TestReceiver' ./internal/durable/
 
 # Full pre-merge gate.
@@ -124,8 +125,9 @@ loc:
 	printf 'test       %s\n' $$(echo "$$files" | grep -v '^perfbench/' | grep '_test\.go$$' | xargs cat | wc -l); \
 	printf 'perfbench  %s\n' $$(echo "$$files" | grep '^perfbench/' | xargs cat | wc -l)
 
-# Short fuzz pass over the wire decoders, the frame/ack protocol, and the
-# durable formats (site archive, coordinator checkpoint, WAL).
+# Short fuzz pass over the wire decoders, the frame/ack protocol, the
+# durable formats (site archive, coordinator checkpoint, WAL), and the
+# sender's outbox state machine and sliding-window emitter.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecode -fuzztime=10s ./internal/transport/
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=10s ./internal/netio/
@@ -133,6 +135,8 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzLoad$$ -fuzztime=10s ./internal/persist/
 	$(GO) test -run=^$$ -fuzz=FuzzLoadCoordinatorState -fuzztime=10s ./internal/persist/
 	$(GO) test -run=^$$ -fuzz=FuzzReadWAL -fuzztime=10s ./internal/persist/
+	$(GO) test -run=^$$ -fuzz=FuzzOutbox -fuzztime=10s ./internal/uplink/
+	$(GO) test -run=^$$ -fuzz=FuzzEmitter -fuzztime=10s ./internal/uplink/
 
 # Machine-readable benchmark snapshot: one pass over every figure
 # reproduction (-benchtime 1x — each figure is a full experiment) plus the

@@ -34,7 +34,7 @@ import (
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
 	"cludistream/internal/transport"
-	"cludistream/internal/window"
+	"cludistream/internal/uplink"
 )
 
 // Config assembles a distributed deployment. Zero values select the
@@ -122,8 +122,8 @@ type Config struct {
 
 	// Fault, when non-nil, subjects every site→coordinator link to the
 	// given fault plan and switches delivery to fault-tolerant mode: each
-	// site sends through a retransmitting Courier with sequence-numbered,
-	// epoch-tagged messages, and the coordinator dedupes so updates are
+	// site's outbox stamps sequence-numbered, epoch-tagged messages that
+	// its Courier retransmits, and the coordinator dedupes so updates are
 	// applied exactly once. Nil keeps perfect links and the legacy v1
 	// encoding, preserving the figures' byte-for-byte cost model.
 	Fault *netsim.FaultPlan
@@ -232,26 +232,11 @@ func (c Config) withDefaults() Config {
 type System struct {
 	cfg      Config
 	sim      *netsim.Simulator
-	sites    []*site.Site
-	siteCfgs []site.Config // kept verbatim so CrashSite can rebuild a site
-	trackers []*window.Tracker
+	emitters []*uplink.Emitter // one per site: records in, messages out
+	siteCfgs []site.Config     // kept verbatim so CrashSite can rebuild a site
 	links    []*netsim.Link
-	fed      []int // records fed per site (drives the virtual clock)
-
-	// outstanding mirrors, per site, each model's net record count at the
-	// coordinator (sends minus deletions, in emission order — links and
-	// couriers are FIFO, so the mirror matches the coordinator's state at
-	// the moment each message is applied). The coordinator deletes a model
-	// whose weight drains to zero (Section 7's sliding-window rule), so a
-	// later WeightUpdate referencing it must be upgraded to a full
-	// synopsis; see sendUpdate.
-	outstanding []map[int]int
-
-	// Fault-tolerant mode (cfg.Fault != nil): per-site couriers, sender
-	// epochs and sequence numbers.
 	couriers []*netsim.Courier
-	epochs   []uint32
-	seqs     []uint64
+	fed      []int // records fed per site (drives the virtual clock)
 
 	// rcv is the coordinator's receive pipeline, shared with netio.Server
 	// and the tree runtime: it holds the coordinator, the dedupe table
@@ -283,11 +268,7 @@ func New(cfg Config) (*System, error) {
 		sim: netsim.NewSimulator(),
 		fed: make([]int, cfg.NumSites),
 	}
-	coordCfg := coordinator.Config{
-		Dim: cfg.Dim, Merge: cfg.Merge, Telemetry: cfg.Telemetry,
-		IncrementalRemerge: cfg.IncrementalRemerge,
-		RemergeAuditEvery:  cfg.RemergeAuditEvery,
-	}
+	coordCfg := cfg.coordConfig()
 	if cfg.Durability != nil {
 		opts, err := cfg.Durability.storeOptions(cfg.Telemetry)
 		if err != nil {
@@ -313,10 +294,6 @@ func New(cfg Config) (*System, error) {
 			s.tracer = tr
 			s.rcv.Tracer = tr
 		}
-	}
-	if cfg.Fault != nil {
-		s.epochs = make([]uint32, cfg.NumSites)
-		s.seqs = make([]uint64, cfg.NumSites)
 	}
 	for i := 0; i < cfg.NumSites; i++ {
 		sc := site.Config{
@@ -348,34 +325,45 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
+		em, err := uplink.NewEmitter(st, cfg.SlidingHorizonChunks)
+		if err != nil {
+			return nil, err
+		}
 		s.siteCfgs = append(s.siteCfgs, sc)
-		s.sites = append(s.sites, st)
-		s.outstanding = append(s.outstanding, make(map[int]int))
+		s.emitters = append(s.emitters, em)
 		link, err := s.sim.NewFaultyLink(cfg.LinkLatency, cfg.LinkBandwidth, cfg.Fault, s.deliver)
 		if err != nil {
 			return nil, err
 		}
 		link.SetTelemetry(cfg.Telemetry)
 		s.links = append(s.links, link)
+		ob := &uplink.Outbox{Tracer: s.tracer}
+		rng := rand.New(rand.NewSource(cfg.Seed + 104729*int64(i+1)))
+		cour, err := s.sim.NewCourier(link, ob, cfg.RetryBackoff, cfg.RetryMaxBackoff, rng)
+		if err != nil {
+			return nil, err
+		}
+		// Fault-tolerant mode stamps (epoch, seq) for the deduping
+		// receiver; perfect links keep the unstamped v1 encoding, and
+		// their sends never fail, so the courier transmits each message
+		// exactly once.
 		if cfg.Fault != nil {
-			s.epochs[i] = 1
-			rng := rand.New(rand.NewSource(cfg.Seed + 104729*int64(i+1)))
-			cour, err := s.sim.NewCourier(link, cfg.RetryBackoff, cfg.RetryMaxBackoff, rng)
-			if err != nil {
-				return nil, err
-			}
+			ob.Epoch = 1
 			cour.SetTelemetry(cfg.Telemetry)
-			s.couriers = append(s.couriers, cour)
 		}
-		if cfg.SlidingHorizonChunks > 0 {
-			tr, err := window.NewTracker(st, cfg.SlidingHorizonChunks)
-			if err != nil {
-				return nil, err
-			}
-			s.trackers = append(s.trackers, tr)
-		}
+		s.couriers = append(s.couriers, cour)
 	}
 	return s, nil
+}
+
+// coordConfig is the coordinator configuration the facade opens (and
+// recovers) its coordinator with.
+func (c Config) coordConfig() coordinator.Config {
+	return coordinator.Config{
+		Dim: c.Dim, Merge: c.Merge, Telemetry: c.Telemetry,
+		IncrementalRemerge: c.IncrementalRemerge,
+		RemergeAuditEvery:  c.RemergeAuditEvery,
+	}
 }
 
 // storeOptions maps the facade durability knobs onto durable.Options.
@@ -430,81 +418,21 @@ func (s *System) InjectDedupeFault() {
 // site); any updates the site emits are encoded and sent on the site's
 // link.
 func (s *System) Feed(siteIdx int, x linalg.Vector) error {
-	if siteIdx < 0 || siteIdx >= len(s.sites) {
-		return fmt.Errorf("cludistream: site index %d of %d", siteIdx, len(s.sites))
+	if siteIdx < 0 || siteIdx >= len(s.emitters) {
+		return fmt.Errorf("cludistream: site index %d of %d", siteIdx, len(s.emitters))
 	}
 	t := float64(s.fed[siteIdx]) / s.cfg.ArrivalRate
 	s.fed[siteIdx]++
 	s.sim.RunUntil(t)
 
-	ups, err := s.sites[siteIdx].Observe(x)
+	msgs, err := s.emitters[siteIdx].Observe(x)
 	if err != nil {
 		return err
 	}
-	for _, u := range ups {
-		s.sendUpdate(siteIdx, u)
-	}
-	if s.trackers != nil {
-		// Deletions ride the trace of the chunk whose completion expired
-		// them: the site has no Update in hand, so the trace context comes
-		// from the last minted chunk trace.
-		delTrace, delSpan := s.sites[siteIdx].LastTrace()
-		for _, d := range s.trackers[siteIdx].Expire(siteIdx + 1) {
-			s.outstanding[siteIdx][d.ModelID] -= d.Count
-			s.send(siteIdx, transport.Message{
-				Kind:    transport.MsgDeletion,
-				SiteID:  int32(d.SiteID),
-				ModelID: int32(d.ModelID),
-				Count:   int64(d.Count),
-				TraceID: delTrace,
-				SpanID:  delSpan,
-			})
-		}
+	for _, msg := range msgs {
+		s.couriers[siteIdx].Send(msg)
 	}
 	return s.deliveryErr
-}
-
-// sendUpdate routes one site update to the coordinator, upgrading a
-// WeightUpdate whose model the coordinator has deleted (sliding windows:
-// every record of the model expired, so its weight drained to zero and
-// Section 7's rule removed it) into a full NewModel synopsis. The site
-// cannot know the coordinator dropped the model — only the sender, which
-// also emits the deletions, can; without the upgrade the coordinator
-// would reject the update as referencing an unknown model.
-func (s *System) sendUpdate(siteIdx int, u site.Update) {
-	if u.Kind == site.WeightUpdate && s.outstanding[siteIdx][u.ModelID] <= 0 {
-		for _, m := range s.sites[siteIdx].Models() {
-			if m.ID == u.ModelID {
-				u.Kind = site.NewModel
-				u.Mixture = m.Mixture
-				break
-			}
-		}
-	}
-	s.outstanding[siteIdx][u.ModelID] += u.Count
-	s.send(siteIdx, transport.FromSiteUpdate(u))
-}
-
-// send routes one message onto site siteIdx's link. In fault-tolerant mode
-// the message is stamped with the site's epoch and next sequence number
-// and handed to the retransmitting courier; otherwise it goes straight on
-// the perfect link in the legacy v1 encoding.
-func (s *System) send(siteIdx int, msg transport.Message) {
-	if s.tracer != nil && msg.TraceID != 0 {
-		// Enqueue is a point span: in the simulation the outbox hands the
-		// payload to the link/courier at the same virtual instant.
-		now := s.tracer.Now()
-		s.tracer.Record(msg.TraceID, msg.SpanID, "enqueue",
-			int(msg.SiteID), int(msg.ModelID), now, now, msg.WireSize(), "")
-	}
-	if s.couriers == nil {
-		s.links[siteIdx].TrySendTraced(transport.Encode(msg), false, msg.TraceID, msg.SpanID)
-		return
-	}
-	s.seqs[siteIdx]++
-	msg.Seq = s.seqs[siteIdx]
-	msg.Epoch = s.epochs[siteIdx]
-	s.couriers[siteIdx].SendTraced(transport.Encode(msg), msg.TraceID, msg.SpanID)
 }
 
 // CrashSite models a site process dying and restarting (fault-tolerant
@@ -514,31 +442,26 @@ func (s *System) send(siteIdx int, msg transport.Message) {
 // discards the dead incarnation's contribution when the restarted site
 // replays its stream from the beginning.
 func (s *System) CrashSite(siteIdx int) error {
-	if siteIdx < 0 || siteIdx >= len(s.sites) {
-		return fmt.Errorf("cludistream: site index %d of %d", siteIdx, len(s.sites))
+	if siteIdx < 0 || siteIdx >= len(s.emitters) {
+		return fmt.Errorf("cludistream: site index %d of %d", siteIdx, len(s.emitters))
 	}
-	if s.couriers == nil {
+	if s.cfg.Fault == nil {
 		return fmt.Errorf("cludistream: CrashSite requires fault-tolerant mode (Config.Fault)")
 	}
 	st, err := site.New(s.siteCfgs[siteIdx])
 	if err != nil {
 		return err
 	}
-	s.sites[siteIdx] = st
-	if s.trackers != nil {
-		tr, err := window.NewTracker(st, s.cfg.SlidingHorizonChunks)
-		if err != nil {
-			return err
-		}
-		s.trackers[siteIdx] = tr
+	em, err := uplink.NewEmitter(st, s.cfg.SlidingHorizonChunks)
+	if err != nil {
+		return err
 	}
-	s.couriers[siteIdx].Crash()
-	s.epochs[siteIdx]++
-	s.seqs[siteIdx] = 0
-	s.fed[siteIdx] = 0
 	// The coordinator discards the dead incarnation's models on the first
-	// higher-epoch message; the outstanding mirror starts over with it.
-	s.outstanding[siteIdx] = make(map[int]int)
+	// higher-epoch message; the emitter's outstanding mirror starts over
+	// with it.
+	s.emitters[siteIdx] = em
+	s.couriers[siteIdx].Crash()
+	s.fed[siteIdx] = 0
 	return nil
 }
 
@@ -573,12 +496,7 @@ func (s *System) CrashCoordinator() error {
 	if err != nil {
 		return err
 	}
-	coordCfg := coordinator.Config{
-		Dim: s.cfg.Dim, Merge: s.cfg.Merge, Telemetry: s.cfg.Telemetry,
-		IncrementalRemerge: s.cfg.IncrementalRemerge,
-		RemergeAuditEvery:  s.cfg.RemergeAuditEvery,
-	}
-	store, rec, err := durable.Open(s.cfg.Durability.Dir, coordCfg, opts)
+	store, rec, err := durable.Open(s.cfg.Durability.Dir, s.cfg.coordConfig(), opts)
 	if err != nil {
 		return err
 	}
@@ -620,7 +538,7 @@ func (s *System) Recovery() RecoveryStats { return s.recov }
 // order — the simplest way to drive a whole deployment from one stream.
 func (s *System) FeedRoundRobin(records []linalg.Vector) error {
 	for i, x := range records {
-		if err := s.Feed(i%len(s.sites), x); err != nil {
+		if err := s.Feed(i%len(s.emitters), x); err != nil {
 			return err
 		}
 	}
@@ -638,10 +556,10 @@ func (s *System) Drain() error {
 func (s *System) GlobalMixture() *gaussian.Mixture { return s.rcv.Coord.GlobalMixture() }
 
 // Site returns site i (0-based).
-func (s *System) Site(i int) *site.Site { return s.sites[i] }
+func (s *System) Site(i int) *site.Site { return s.emitters[i].Site() }
 
 // NumSites returns r.
-func (s *System) NumSites() int { return len(s.sites) }
+func (s *System) NumSites() int { return len(s.emitters) }
 
 // Coordinator exposes the coordinator for inspection.
 func (s *System) Coordinator() *coordinator.Coordinator { return s.rcv.Coord }
@@ -719,4 +637,4 @@ func (s *System) CostSeries(width float64) []int {
 }
 
 // ChunkSize returns the chunk size M in effect at every site.
-func (s *System) ChunkSize() int { return s.sites[0].ChunkSize() }
+func (s *System) ChunkSize() int { return s.Site(0).ChunkSize() }

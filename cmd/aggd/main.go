@@ -75,7 +75,14 @@ func main() {
 	var up *netio.Uploader
 	var parent *netio.Conn
 	if *connect != "" {
-		parent, err = dialConnRetry(*connect, *nodeID, *maxRetry, reg)
+		// A fresh incarnation per process start (netio.UploaderPolicy), so
+		// the parent replaces a dead incarnation's mixture; an aggregation
+		// tree can start leaves-first or ride out a parent restart.
+		pol := netio.UploaderPolicy(*nodeID, time.Now())
+		pol.Telemetry = reg
+		parent, err = netio.DialWithRetry(*connect, *maxRetry, func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "aggd %d: %s\n", *nodeID, fmt.Sprintf(format, args...))
+		}, func() (*netio.Conn, error) { return netio.DialConnRetry(*connect, pol) })
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -96,18 +103,15 @@ func main() {
 			if up == nil {
 				continue
 			}
-			var mix *coordinatorSnapshot
+			var mix *gaussian.Mixture
+			var weight float64
 			srv.Snapshot(func(c *coordinator.Coordinator) {
-				var total float64
-				for _, g := range c.Groups() {
-					total += g.Weight()
-				}
-				mix = &coordinatorSnapshot{m: c.GlobalMixture(), weight: total}
+				mix, weight = c.GlobalMixture(), c.TotalWeight()
 			})
-			if mix == nil || mix.m == nil {
+			if mix == nil {
 				continue
 			}
-			sent, err := up.Sync(mix.m, mix.weight)
+			sent, err := up.Sync(mix, weight)
 			if err != nil {
 				// The connection's outbox keeps retrying delivery; a
 				// rejected upload is logged and retried at the next tick
@@ -116,7 +120,7 @@ func main() {
 				continue
 			}
 			if sent {
-				fmt.Printf("aggd %d: uploaded refreshed model (K=%d)\n", *nodeID, mix.m.K())
+				fmt.Printf("aggd %d: uploaded refreshed model (K=%d)\n", *nodeID, mix.K())
 			}
 		case sig := <-sigCh:
 			fmt.Printf("aggd %d: %v — shutting down (waiting up to %v)\n", *nodeID, sig, *shutdownTimeout)
@@ -135,32 +139,6 @@ func main() {
 					*nodeID, c.NumModels(), len(c.Groups()))
 			})
 			return
-		}
-	}
-}
-
-// coordinatorSnapshot carries state out of the Snapshot closure.
-type coordinatorSnapshot struct {
-	m      *gaussian.Mixture
-	weight float64
-}
-
-// dialConnRetry retries the parent dial with doubling backoff so an
-// aggregation tree can start leaves-first or ride out a parent restart.
-func dialConnRetry(addr string, nodeID, maxRetry int, reg *telemetry.Registry) (*netio.Conn, error) {
-	backoff := 500 * time.Millisecond
-	for attempt := 1; ; attempt++ {
-		conn, err := netio.DialConnRetry(addr, netio.RetryPolicy{Telemetry: reg})
-		if err == nil {
-			return conn, nil
-		}
-		if maxRetry >= 0 && attempt >= maxRetry {
-			return nil, fmt.Errorf("dial %s: %w (after %d attempts)", addr, err, attempt)
-		}
-		fmt.Fprintf(os.Stderr, "aggd %d: dial %s: %v — retrying in %v\n", nodeID, addr, err, backoff)
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 10*time.Second {
-			backoff = 10 * time.Second
 		}
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"cludistream/internal/site"
 	"cludistream/internal/stream"
 	"cludistream/internal/telemetry"
+	"cludistream/internal/uplink"
 )
 
 func main() {
@@ -119,16 +120,15 @@ func main() {
 
 	// A restarted process derives a fresh, higher epoch from the wall
 	// clock by default, so the coordinator discards the dead incarnation.
-	if *epoch == 0 {
-		*epoch = uint(time.Now().Unix())
-	}
 	opts := netio.DialOptions{
 		SlidingHorizonChunks: *horizon,
-		Retry:                netio.RetryPolicy{Epoch: uint32(*epoch), Telemetry: reg},
+		Retry:                netio.RetryPolicy{Epoch: uplink.Incarnation(uint32(*epoch), time.Now()), Telemetry: reg},
 	}
 	fmt.Printf("sited: version=%s site=%d kind=%s dim=%d k=%d epsilon=%g fit_eps=%g delta=%g cmax=%d connect=%s debug_addr=%s\n",
 		buildinfo.Version, *siteID, *kind, *dim, *k, *eps, *fitEps, *delta, *cmax, *connect, *debugAddr)
-	client, err := dialWithRetry(*connect, st, *siteID, opts, *maxRetry)
+	client, err := netio.DialWithRetry(*connect, *maxRetry, func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "sited %d: %s\n", *siteID, fmt.Sprintf(format, args...))
+	}, func() (*netio.Client, error) { return netio.Dial(*connect, st, *siteID, opts) })
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -214,26 +214,5 @@ feed:
 			os.Exit(1)
 		}
 		fmt.Printf("sited %d: archive written to %s\n", *siteID, *archive)
-	}
-}
-
-// dialWithRetry retries the initial dial with doubling backoff so sites
-// can start before (or survive a restart of) the coordinator. maxRetry
-// bounds the attempts; negative retries forever.
-func dialWithRetry(addr string, st *site.Site, siteID int, opts netio.DialOptions, maxRetry int) (*netio.Client, error) {
-	backoff := 500 * time.Millisecond
-	for attempt := 1; ; attempt++ {
-		client, err := netio.Dial(addr, st, siteID, opts)
-		if err == nil {
-			return client, nil
-		}
-		if maxRetry >= 0 && attempt >= maxRetry {
-			return nil, fmt.Errorf("dial %s: %w (after %d attempts)", addr, err, attempt)
-		}
-		fmt.Fprintf(os.Stderr, "sited %d: dial %s: %v — retrying in %v\n", siteID, addr, err, backoff)
-		time.Sleep(backoff)
-		if backoff *= 2; backoff > 10*time.Second {
-			backoff = 10 * time.Second
-		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"cludistream/internal/coordinator"
+	"cludistream/internal/durable"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/site"
@@ -189,13 +190,7 @@ func (t *Tree) propagate(n *Node) error {
 		}
 		for _, m := range msgs {
 			n.bytesUp += m.WireSize()
-			if m.Kind == transport.MsgDeletion {
-				if err := n.parent.coord.HandleDeletion(int(m.SiteID), int(m.ModelID), int(m.Count)); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := n.parent.coord.HandleUpdate(m.ToSiteUpdate()); err != nil {
+			if err := durable.Apply(n.parent.coord, m); err != nil {
 				return err
 			}
 		}

@@ -12,7 +12,7 @@ import (
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
 	"cludistream/internal/transport"
-	"cludistream/internal/window"
+	"cludistream/internal/uplink"
 )
 
 // RetryPolicy tunes fault-tolerant delivery on a Conn. The zero value
@@ -38,7 +38,8 @@ type RetryPolicy struct {
 	OutboxLimit int
 	// Epoch is the sender's incarnation number (default 1). A process
 	// that restarts after a crash must use a strictly higher epoch so the
-	// coordinator discards the dead incarnation's state.
+	// coordinator discards the dead incarnation's state;
+	// uplink.Incarnation derives one from the wall clock.
 	Epoch uint32
 	// SiteID, when non-zero, enables the restart handshake: each new
 	// connection opens with a hello frame, and the coordinator's watermark
@@ -87,99 +88,57 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// DeliveryStats counts the work of fault-tolerant delivery.
+// DeliveryStats counts the work of fault-tolerant delivery: the outbox's
+// counters plus the connection's own reconnects.
 type DeliveryStats struct {
-	// Acked is the number of messages acknowledged by the coordinator.
-	Acked int
-	// GoodputBytes is the payload bytes of acked messages, counted once
-	// per message regardless of how many attempts it took.
-	GoodputBytes int
-	// RetransmitBytes is the payload bytes of second and later attempts —
-	// the wire overhead of fault tolerance.
-	RetransmitBytes int
-	// Retries is the number of failed round-trip attempts.
-	Retries int
+	uplink.Stats
 	// Reconnects is the number of successful re-dials after a broken
 	// connection.
 	Reconnects int
-	// Dropped counts messages abandoned (outbox overflow or MaxAttempts).
-	Dropped int
-	// Rejected counts messages the coordinator refused (ErrRemote).
-	Rejected int
-	// HandshakePruned counts queued messages the restart handshake removed
-	// because the coordinator's durable watermark already covered them —
-	// retransmissions the handshake saved.
-	HandshakePruned int
-	// Queued is the current outbox depth.
-	Queued int
 }
 
-// pending is one queued outbox entry. Epoch and seq mirror the encoded
-// payload's delivery metadata so the restart handshake can prune without
-// decoding. trace/span carry the producing chunk's trace context
-// side-band: the payload itself is encoded suffix-free, and the 16-byte
-// trace suffix is appended per transmission only when the connection has
-// negotiated the capability.
-type pending struct {
-	payload  []byte
-	epoch    uint32
-	seq      uint64
-	attempts int
-	trace    uint64
-	span     uint64
-}
-
-// connTele holds a Conn's transport instruments (all nil ⇒ no-op). The
+// connTele holds a Conn's connection-level instruments (all nil ⇒ no-op);
+// the outbox mirrors its own counters into the same registry. The
 // counters aggregate across every Conn sharing a registry, so a daemon's
 // snapshot shows deployment-wide delivery behaviour.
 type connTele struct {
 	reg         *telemetry.Registry
-	sends       *telemetry.Counter
-	acked       *telemetry.Counter
-	goodput     *telemetry.Counter
-	retransmit  *telemetry.Counter
-	retries     *telemetry.Counter
 	reconnects  *telemetry.Counter
-	dropped     *telemetry.Counter
-	rejected    *telemetry.Counter
 	backoffs    *telemetry.Counter
 	backoffSecs *telemetry.Histogram
-	depth       *telemetry.Gauge
-	highWater   *telemetry.Gauge
 	storms      *telemetry.Counter
-	pruned      *telemetry.Counter
 }
 
-func newConnTele(reg *telemetry.Registry) connTele {
-	if reg == nil {
-		return connTele{}
-	}
+func newConnTele(reg *telemetry.Registry) (connTele, uplink.Tele) {
 	return connTele{
-		reg:        reg,
-		sends:      reg.Counter("net.sends"),
-		acked:      reg.Counter("net.acked"),
-		goodput:    reg.Counter("net.goodput_bytes"),
-		retransmit: reg.Counter("net.retransmit_bytes"),
-		retries:    reg.Counter("net.retries"),
-		reconnects: reg.Counter("net.reconnects"),
-		dropped:    reg.Counter("net.dropped"),
-		rejected:   reg.Counter("net.rejected"),
-		backoffs:   reg.Counter("net.backoff_waits"),
-		backoffSecs: reg.Histogram("net.backoff_seconds",
-			0.01, 0.05, 0.1, 0.5, 1, 2, 5, 10),
-		depth:     reg.Gauge("net.outbox_depth"),
-		highWater: reg.Gauge("net.outbox_high_water"),
-		storms:    reg.Counter("net.reconnect_storms"),
-		pruned:    reg.Counter("net.handshake_pruned"),
-	}
+			reg:        reg,
+			reconnects: reg.Counter("net.reconnects"),
+			backoffs:   reg.Counter("net.backoff_waits"),
+			backoffSecs: reg.Histogram("net.backoff_seconds",
+				0.01, 0.05, 0.1, 0.5, 1, 2, 5, 10),
+			storms: reg.Counter("net.reconnect_storms"),
+		}, uplink.Tele{
+			Sends:      reg.Counter("net.sends"),
+			Acked:      reg.Counter("net.acked"),
+			Goodput:    reg.Counter("net.goodput_bytes"),
+			Retransmit: reg.Counter("net.retransmit_bytes"),
+			Retries:    reg.Counter("net.retries"),
+			Dropped:    reg.Counter("net.dropped"),
+			Rejected:   reg.Counter("net.rejected"),
+			Pruned:     reg.Counter("net.handshake_pruned"),
+			Depth:      reg.Gauge("net.outbox_depth"),
+			HighWater:  reg.Gauge("net.outbox_high_water"),
+		}
 }
 
-// Conn is a fault-tolerant protocol connection: messages are assigned
-// per-connection monotone sequence numbers, queued in a bounded outbox,
-// and delivered with frame+ack round trips. A broken connection is
-// re-dialed with capped exponential backoff; queued messages survive the
-// outage and drain in order on reconnect, and the receiver dedupes by
-// (site, epoch, seq), so retransmitted frames are exactly-once in effect.
+// Conn is a fault-tolerant protocol connection: it drives an
+// uplink.Outbox over TCP. The outbox stamps per-connection monotone
+// sequence numbers, queues messages and decides what each round trip's
+// outcome does to the queue; Conn delivers the head with frame+ack round
+// trips. A broken connection is re-dialed with capped exponential
+// backoff; queued messages survive the outage and drain in order on
+// reconnect, and the receiver dedupes by (site, epoch, seq), so
+// retransmitted frames are exactly-once in effect.
 //
 // Send never blocks on an unreachable coordinator — it queues and returns
 // — so a site degrades gracefully to local-only clustering while
@@ -189,12 +148,12 @@ type Conn struct {
 	mu   sync.Mutex
 	addr string
 	pol  RetryPolicy
+	ob   uplink.Outbox
 
-	nc        net.Conn // nil while disconnected
-	nextSeq   uint64
-	outbox    []pending
-	fails     int       // consecutive connection failures (backoff exponent)
-	notBefore time.Time // earliest next reconnect attempt
+	nc         net.Conn  // nil while disconnected
+	fails      int       // consecutive connection failures (backoff exponent)
+	notBefore  time.Time // earliest next reconnect attempt
+	reconnects int
 
 	// helloDone records that the restart handshake ran on the current
 	// connection (only meaningful when pol.SiteID != 0).
@@ -205,9 +164,7 @@ type Conn struct {
 	progressed bool
 	noProgress int
 
-	highWater int // peak outbox depth
-	stats     DeliveryStats
-	tele      connTele
+	tele connTele
 
 	// tracer is the registry's tracer (nil when tracing is off). traceOK
 	// records that the current connection's handshake granted the
@@ -237,7 +194,32 @@ func DialConnRetry(addr string, pol RetryPolicy) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Conn{addr: addr, pol: pol, nc: nc, tele: newConnTele(pol.Telemetry), tracer: pol.Telemetry.Tracer()}, nil
+	tele, obTele := newConnTele(pol.Telemetry)
+	tracer := pol.Telemetry.Tracer()
+	return &Conn{addr: addr, pol: pol, nc: nc, tele: tele, tracer: tracer, ob: uplink.Outbox{
+		Epoch: pol.Epoch, Limit: pol.OutboxLimit, MaxAttempts: pol.MaxAttempts,
+		Tracer: tracer, Tele: obTele,
+	}}, nil
+}
+
+// DialWithRetry calls dial until it succeeds, waiting between attempts
+// with doubling backoff (500ms, capped at 10s) so a process can start
+// before — or ride out a restart of — the coordinator at addr. maxRetry
+// bounds the attempts (negative retries forever); logf reports each wait.
+func DialWithRetry[T any](addr string, maxRetry int, logf func(format string, args ...any), dial func() (T, error)) (T, error) {
+	backoff := 500 * time.Millisecond
+	for attempt := 1; ; attempt++ {
+		c, err := dial()
+		if err == nil {
+			return c, nil
+		}
+		if maxRetry >= 0 && attempt >= maxRetry {
+			return c, fmt.Errorf("dial %s: %w (after %d attempts)", addr, err, attempt)
+		}
+		logf("dial %s: %v — retrying in %v", addr, err, backoff)
+		time.Sleep(backoff)
+		backoff = min(2*backoff, 10*time.Second)
+	}
 }
 
 // Send queues one message for delivery and opportunistically drains the
@@ -247,36 +229,8 @@ func DialConnRetry(addr string, pol RetryPolicy) (*Conn, error) {
 func (c *Conn) Send(msg transport.Message) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.nextSeq++
-	msg.Seq = c.nextSeq
-	msg.Epoch = c.pol.Epoch
-	// The payload is encoded suffix-free; whether the trace suffix goes on
-	// the wire is the connection's per-transmission capability decision
-	// (see transmit), so the queued bytes stay bit-identical to v1/v2.
-	trace, span := msg.TraceID, msg.SpanID
-	msg.TraceID, msg.SpanID = 0, 0
-	if c.tracer != nil && trace != 0 {
-		now := c.tracer.Now()
-		c.tracer.Record(trace, span, "enqueue",
-			int(msg.SiteID), int(msg.ModelID), now, now, msg.WireSize(), "")
-	}
-	if len(c.outbox) >= c.pol.OutboxLimit {
-		// Drop the oldest entry: it is the most stale, and the site's
-		// model list will re-derive the coordinator's view anyway.
-		c.outbox[0] = pending{}
-		c.outbox = c.outbox[1:]
-		c.stats.Dropped++
-		c.tele.dropped.Inc()
-	}
-	c.outbox = append(c.outbox, pending{payload: transport.Encode(msg), epoch: msg.Epoch, seq: msg.Seq, trace: trace, span: span})
-	c.tele.sends.Inc()
-	if n := len(c.outbox); n > c.highWater {
-		c.highWater = n
-		c.tele.highWater.Set(float64(n))
-	}
-	err := c.flushLocked(false, time.Time{})
-	c.tele.depth.Set(float64(len(c.outbox)))
-	return err
+	c.ob.Push(msg)
+	return c.flushLocked(false, time.Time{})
 }
 
 // Flush blocks until the outbox is empty, retrying with backoff. A
@@ -290,12 +244,10 @@ func (c *Conn) Flush(timeout time.Duration) error {
 	if timeout > 0 {
 		deadline = time.Now().Add(timeout)
 	}
-	err := c.flushLocked(true, deadline)
-	c.tele.depth.Set(float64(len(c.outbox)))
-	if err != nil {
+	if err := c.flushLocked(true, deadline); err != nil {
 		return err
 	}
-	if n := len(c.outbox); n > 0 {
+	if n := c.ob.Len(); n > 0 {
 		return fmt.Errorf("netio: flush timed out with %d messages queued", n)
 	}
 	return nil
@@ -307,7 +259,7 @@ func (c *Conn) Flush(timeout time.Duration) error {
 // the deadline passes. Callers hold c.mu.
 func (c *Conn) flushLocked(block bool, deadline time.Time) error {
 	var rejected bool
-	for len(c.outbox) > 0 {
+	for c.ob.Len() > 0 {
 		now := time.Now()
 		if !deadline.IsZero() && now.After(deadline) {
 			break
@@ -334,7 +286,7 @@ func (c *Conn) flushLocked(block bool, deadline time.Time) error {
 			}
 			c.nc = nc
 			c.helloDone = false
-			c.stats.Reconnects++
+			c.reconnects++
 			c.tele.reconnects.Inc()
 			if c.tele.reg != nil {
 				c.tele.reg.Record(telemetry.Event{
@@ -360,12 +312,7 @@ func (c *Conn) flushLocked(block bool, deadline time.Time) error {
 		}
 		if c.pol.SiteID != 0 && !c.helloDone {
 			if err := c.handshake(); err != nil {
-				c.stats.Retries++
-				c.tele.retries.Inc()
-				c.nc.Close()
-				c.nc = nil
-				c.fails++
-				c.armBackoff()
+				c.broken()
 				if !block {
 					break
 				}
@@ -373,43 +320,21 @@ func (c *Conn) flushLocked(block bool, deadline time.Time) error {
 			}
 			continue // the prune may have emptied the outbox
 		}
-		head := &c.outbox[0]
-		head.attempts++
-		if head.attempts > 1 {
-			c.stats.RetransmitBytes += len(head.payload)
-			c.tele.retransmit.Add(int64(len(head.payload)))
-		}
+		head := c.ob.Attempt()
 		err := c.transmit(head)
 		switch {
 		case err == nil:
-			c.stats.Acked++
-			c.stats.GoodputBytes += len(head.payload)
-			c.tele.acked.Inc()
-			c.tele.goodput.Add(int64(len(head.payload)))
-			c.popHead()
+			c.ob.Ack()
 			c.fails = 0
 			c.progressed = true
 		case errors.Is(err, ErrRemote):
 			// The coordinator decoded the frame and refused it; the
 			// connection is healthy and retrying cannot help.
-			c.stats.Rejected++
-			c.tele.rejected.Inc()
-			c.popHead()
+			c.ob.Reject()
 			rejected = true
 			c.fails = 0
 		default:
-			c.stats.Retries++
-			c.tele.retries.Inc()
-			c.nc.Close()
-			c.nc = nil
-			c.helloDone = false
-			c.fails++
-			c.armBackoff()
-			if c.pol.MaxAttempts > 0 && c.outbox[0].attempts >= c.pol.MaxAttempts {
-				c.stats.Dropped++
-				c.tele.dropped.Inc()
-				c.popHead()
-			}
+			c.broken()
 			if !block {
 				goto out
 			}
@@ -420,6 +345,18 @@ out:
 		return ErrRemote
 	}
 	return nil
+}
+
+// broken records a failed round trip: the outbox counts the failure (and
+// may give up on the head), and the connection is dropped and re-dialed
+// after backoff. Callers hold c.mu.
+func (c *Conn) broken() {
+	c.ob.Fail()
+	c.nc.Close()
+	c.nc = nil
+	c.helloDone = false
+	c.fails++
+	c.armBackoff()
 }
 
 // handshake runs the restart handshake on a fresh connection: send a
@@ -444,44 +381,21 @@ func (c *Conn) handshake() error {
 		return err
 	}
 	c.traceOK = traced && c.tracer != nil
-	c.pruneOutbox(epoch, maxSeq)
+	c.ob.Prune(epoch, maxSeq)
 	c.helloDone = true
 	return nil
-}
-
-// pruneOutbox drops queued entries at or below the coordinator's durable
-// watermark: lower epochs are from incarnations the coordinator has
-// already superseded, and (epoch, seq <= maxSeq) entries were applied
-// before the restart.
-func (c *Conn) pruneOutbox(epoch uint32, maxSeq uint64) {
-	kept := c.outbox[:0]
-	for _, p := range c.outbox {
-		if p.epoch < epoch || (p.epoch == epoch && p.seq <= maxSeq) {
-			c.stats.HandshakePruned++
-			c.tele.pruned.Inc()
-			continue
-		}
-		kept = append(kept, p)
-	}
-	for i := len(kept); i < len(c.outbox); i++ {
-		c.outbox[i] = pending{} // release pruned payloads
-	}
-	c.outbox = kept
 }
 
 // transmit performs one frame+ack round trip for the outbox head,
 // attaching the 16-byte trace suffix when the connection negotiated the
 // capability and recording a wire-send span per attempt (retransmits
 // included) under the producing chunk's trace.
-func (c *Conn) transmit(head *pending) error {
-	payload := head.payload
-	if c.traceOK && head.trace != 0 {
-		payload = transport.AppendTraceSuffix(append([]byte(nil), payload...), head.trace, head.span)
-	}
-	ref := c.tracer.Begin(head.trace, head.span, "wire-send", 0, 0)
+func (c *Conn) transmit(head *uplink.Entry) error {
+	payload := head.Frame(c.traceOK)
+	ref := c.tracer.Begin(head.Trace, head.Span, "wire-send", 0, 0)
 	err := c.roundTrip(payload)
 	note := ""
-	if head.attempts > 1 {
+	if head.Attempts > 1 {
 		note = "retransmit"
 	}
 	if err != nil {
@@ -517,26 +431,20 @@ func (c *Conn) armBackoff() {
 	c.tele.backoffSecs.Observe(d.Seconds())
 }
 
-func (c *Conn) popHead() {
-	c.outbox[0] = pending{}
-	c.outbox = c.outbox[1:]
-}
-
 // Stats returns (goodput bytes, messages acknowledged) — the pre-retry
 // accounting surface, preserved for the cost experiments.
 func (c *Conn) Stats() (bytesOut, messages int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.stats.GoodputBytes, c.stats.Acked
+	s := c.ob.Stats()
+	return s.GoodputBytes, s.Acked
 }
 
 // Delivery returns the full fault-tolerance counters.
 func (c *Conn) Delivery() DeliveryStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	s.Queued = len(c.outbox)
-	return s
+	return DeliveryStats{Stats: c.ob.Stats(), Reconnects: c.reconnects}
 }
 
 // Close closes the underlying connection. Queued messages are not
@@ -557,11 +465,12 @@ func (c *Conn) Close() error {
 // it, and ships every resulting update to the coordinator over TCP. It is
 // safe for use from one goroutine (a site observes one stream; run one
 // Client per stream).
+//
+// The embedded Conn's Flush, Stats, Delivery and Close act on the site's
+// outbox; Close leaves the wrapped site usable locally.
 type Client struct {
-	conn    *Conn
-	st      *site.Site
-	siteID  int
-	tracker *window.Tracker
+	*Conn
+	em *uplink.Emitter
 }
 
 // DialOptions tunes Dial.
@@ -579,8 +488,9 @@ type DialOptions struct {
 // Dial connects to the coordinator at addr and wraps st. The site's
 // SiteID identifies this client in every message.
 func Dial(addr string, st *site.Site, siteID int, opts DialOptions) (*Client, error) {
-	if opts.SlidingHorizonChunks < 0 {
-		return nil, fmt.Errorf("netio: sliding horizon %d chunks", opts.SlidingHorizonChunks)
+	em, err := uplink.NewEmitter(st, opts.SlidingHorizonChunks)
+	if err != nil {
+		return nil, err
 	}
 	pol := opts.Retry
 	if pol.DialTimeout == 0 {
@@ -593,55 +503,27 @@ func Dial(addr string, st *site.Site, siteID int, opts DialOptions) (*Client, er
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, st: st, siteID: siteID}
-	if opts.SlidingHorizonChunks > 0 {
-		tr, err := window.NewTracker(st, opts.SlidingHorizonChunks)
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		c.tracker = tr
-	}
-	return c, nil
+	return &Client{Conn: conn, em: em}, nil
 }
 
 // Site returns the wrapped site processor.
-func (c *Client) Site() *site.Site { return c.st }
+func (c *Client) Site() *site.Site { return c.em.Site() }
 
-// Observe feeds one record to the site and queues any updates (and
-// sliding-window deletions) it produced for delivery. Every update is
+// Observe feeds one record to the site and queues the messages it
+// produced (see uplink.Emitter.Observe) for delivery. Every message is
 // queued even when an earlier one errors — the outbox, not the caller,
 // owns retransmission — so a delivery failure can never lose the rest of
 // a chunk's updates. The returned error is the site's own error, or the
 // first delivery rejection.
 func (c *Client) Observe(x linalg.Vector) error {
-	ups, err := c.st.Observe(x)
+	msgs, err := c.em.Observe(x)
 	if err != nil {
 		return err
 	}
 	var firstErr error
-	for _, u := range ups {
-		if err := c.send(transport.FromSiteUpdate(u)); err != nil && firstErr == nil {
+	for _, msg := range msgs {
+		if err := c.Send(msg); err != nil && firstErr == nil {
 			firstErr = err
-		}
-	}
-	if c.tracker != nil {
-		// Deletions carry the trace of the chunk whose completion expired
-		// them (the site mints traces; LastTrace is zeros when tracing is
-		// off, leaving the messages untraced).
-		delTrace, delSpan := c.st.LastTrace()
-		for _, d := range c.tracker.Expire(c.siteID) {
-			msg := transport.Message{
-				Kind:    transport.MsgDeletion,
-				SiteID:  int32(d.SiteID),
-				ModelID: int32(d.ModelID),
-				Count:   int64(d.Count),
-				TraceID: delTrace,
-				SpanID:  delSpan,
-			}
-			if err := c.send(msg); err != nil && firstErr == nil {
-				firstErr = err
-			}
 		}
 	}
 	return firstErr
@@ -656,24 +538,3 @@ func (c *Client) ObserveAll(xs []linalg.Vector) error {
 	}
 	return nil
 }
-
-// send queues one message on the fault-tolerant connection.
-func (c *Client) send(msg transport.Message) error {
-	return c.conn.Send(msg)
-}
-
-// Flush blocks until every queued update is delivered (see Conn.Flush).
-func (c *Client) Flush(timeout time.Duration) error {
-	return c.conn.Flush(timeout)
-}
-
-// Stats returns (goodput bytes, messages acknowledged).
-func (c *Client) Stats() (bytesOut, messages int) {
-	return c.conn.Stats()
-}
-
-// Delivery returns the fault-tolerance counters.
-func (c *Client) Delivery() DeliveryStats { return c.conn.Delivery() }
-
-// Close closes the connection. The wrapped site remains usable locally.
-func (c *Client) Close() error { return c.conn.Close() }

@@ -2,14 +2,18 @@ package netio
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"math/rand"
 	"net"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"cludistream"
 	"cludistream/internal/coordinator"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
@@ -236,6 +240,88 @@ func TestSlidingWindowDeletionsOverTCP(t *testing.T) {
 			t.Fatalf("coordinator mass = %v, want 400 (horizon 2 × 200)", total)
 		}
 	})
+}
+
+// TestSlidingParityOverTCP: a sliding-window site whose stream returns to
+// an earlier regime (A→B→A) re-emits a weight update for a model the
+// coordinator already deleted when its last records left the window. The
+// TCP client must upgrade it to a full model exactly as the simulated
+// facade does: nothing is rejected, and the server ends with the same
+// per-model weights as a fault-free facade fed the same site and records.
+func TestSlidingParityOverTCP(t *testing.T) {
+	const chunk, horizon = 200, 2
+	cfg := cludistream.Config{
+		NumSites: 1, Dim: 1, K: 2, Epsilon: 0.1, FitEps: 0.8, Delta: 0.01, CMax: 4,
+		Seed: 1, ChunkSize: chunk, SlidingHorizonChunks: horizon,
+	}
+	st, err := site.New(site.Config{
+		SiteID: 1, Dim: cfg.Dim, K: cfg.K, Epsilon: cfg.Epsilon, FitEps: cfg.FitEps,
+		Delta: cfg.Delta, CMax: cfg.CMax, Seed: cfg.Seed, ChunkSize: chunk,
+		EmitFitWeightUpdates: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var records []linalg.Vector
+	rng := rand.New(rand.NewSource(5))
+	for _, mean := range []float64{0, 30, 0} {
+		mix := regime(mean)
+		for i := 0; i < 3*chunk; i++ {
+			records = append(records, mix.Sample(rng))
+		}
+	}
+
+	sys, err := cludistream.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range records {
+		if err := sys.Feed(0, x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	coord := newCoord(t)
+	srv, err := NewServer("127.0.0.1:0", coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr().String(), st, 1, DialOptions{SlidingHorizonChunks: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, x := range records {
+		if err := c.Observe(x); err != nil && !errors.Is(err, ErrRemote) {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(10 * time.Second); err != nil && !errors.Is(err, ErrRemote) {
+		t.Fatal(err)
+	}
+	if d := c.Delivery(); d.Rejected != 0 {
+		t.Fatalf("coordinator rejected %d of %d messages", d.Rejected, d.Acked+d.Rejected)
+	}
+
+	sorted := func(mw []coordinator.ModelWeight) []coordinator.ModelWeight {
+		sort.Slice(mw, func(i, j int) bool {
+			if mw[i].SiteID != mw[j].SiteID {
+				return mw[i].SiteID < mw[j].SiteID
+			}
+			return mw[i].ModelID < mw[j].ModelID
+		})
+		return mw
+	}
+	want := sorted(sys.Coordinator().ModelWeights())
+	var got []coordinator.ModelWeight
+	srv.Snapshot(func(co *coordinator.Coordinator) { got = sorted(co.ModelWeights()) })
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("server model weights %+v, facade %+v", got, want)
+	}
 }
 
 func mustSlidingSite(t *testing.T) *site.Site {

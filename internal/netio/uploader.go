@@ -1,8 +1,11 @@
 package netio
 
 import (
+	"time"
+
 	"cludistream/internal/gaussian"
 	"cludistream/internal/hier"
+	"cludistream/internal/uplink"
 )
 
 // Uploader maintains an internal node's presence at its parent coordinator
@@ -23,6 +26,15 @@ type Uploader struct {
 // parent sees).
 func NewUploader(conn *Conn, nodeID int) *Uploader {
 	return &Uploader{conn: conn, UploadMirror: hier.NewUploadMirror(nodeID)}
+}
+
+// UploaderPolicy is the retry policy of an aggregator's connection to its
+// parent: node nodeID announces a fresh incarnation derived from its
+// process start (uplink.Incarnation), so its first upload after a restart
+// replaces the dead incarnation's mixture at the parent, and every
+// connection runs the restart handshake under the node id.
+func UploaderPolicy(nodeID int, start time.Time) RetryPolicy {
+	return RetryPolicy{Epoch: uplink.Incarnation(0, start), SiteID: int32(nodeID)}
 }
 
 // Sync uploads mix (with total record weight) if it differs materially

@@ -100,3 +100,48 @@ func TestUploaderReconnectPreservesDedupeWatermark(t *testing.T) {
 		t.Fatal("unchanged mixture re-uploaded after reconnect")
 	}
 }
+
+// TestAggregatorRestartReplacesMixture: an aggregator process uploads its
+// mixture, dies, and a new process for the same node uploads a different
+// one under the aggregator policy. The new incarnation's higher epoch must
+// make the parent discard the dead incarnation's model — not drop the new
+// upload as a duplicate of the old (epoch, seq) and keep the stale mixture.
+func TestAggregatorRestartReplacesMixture(t *testing.T) {
+	const node = 100
+	srv, err := NewServer("127.0.0.1:0", newCoord(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr := srv.Addr().String()
+
+	start := time.Unix(1_700_000_000, 0)
+	for i, inc := range []struct {
+		mean, weight float64
+	}{{0, 200}, {50, 300}} {
+		conn, err := DialConnRetry(addr, UploaderPolicy(node, start.Add(time.Duration(i)*time.Second)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewUploader(conn, node).Sync(regime(inc.mean), inc.weight); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.Flush(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		conn.Close() // the process dies
+	}
+
+	if d := srv.DeliveryStats(); d.Duplicates != 0 || d.SiteResets != 1 {
+		t.Fatalf("parent receive stats %+v, want 0 duplicates and 1 site reset", d)
+	}
+	srv.Snapshot(func(co *coordinator.Coordinator) {
+		mw := co.ModelWeights()
+		if len(mw) != 1 || mw[0].SiteID != node || mw[0].Counter != 300 {
+			t.Fatalf("parent models %+v, want only the second incarnation's (weight 300)", mw)
+		}
+		if ll := co.GlobalMixture().AvgLogLikelihood([]linalg.Vector{{48}, {52}}); ll < -8 {
+			t.Fatalf("second incarnation's mixture missing at parent: LL=%v", ll)
+		}
+	})
+}

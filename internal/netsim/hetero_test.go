@@ -3,6 +3,11 @@ package netsim
 import (
 	"math/rand"
 	"testing"
+
+	"cludistream/internal/gaussian"
+	"cludistream/internal/linalg"
+	"cludistream/internal/transport"
+	"cludistream/internal/uplink"
 )
 
 // TestSlowLinkDoesNotStallSiblings: links are independently serialized —
@@ -76,7 +81,7 @@ func TestPerLinkAccountingSumsToCourierTotals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cour, err := sim.NewCourier(link, 0.05, 1.0, rand.New(rand.NewSource(int64(100+i))))
+		cour, err := sim.NewCourier(link, &uplink.Outbox{Epoch: 1}, 0.05, 1.0, rand.New(rand.NewSource(int64(100+i))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,10 +91,19 @@ func TestPerLinkAccountingSumsToCourierTotals(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for rec := 0; rec < 60; rec++ {
 		e := edges[rec%len(edges)]
-		payload := make([]byte, 20+rng.Intn(200))
-		e.sent += len(payload)
+		// Mixtures of 1–4 components vary the frame sizes.
+		k := 1 + rng.Intn(4)
+		ws := make([]float64, k)
+		comps := make([]*gaussian.Component, k)
+		for j := range comps {
+			ws[j] = 1 / float64(k)
+			comps[j] = gaussian.Spherical(linalg.Vector{float64(j), 0}, 1)
+		}
+		msg := transport.Message{Kind: transport.MsgNewModel, SiteID: 1, ModelID: int32(rec), Count: 1, Mixture: gaussian.MustMixture(ws, comps)}
 		e.msgs++
-		e.cour.Send(payload)
+		msg.Epoch, msg.Seq = 1, uint64(e.msgs)
+		e.sent += len(transport.Encode(msg))
+		e.cour.Send(msg)
 	}
 	sim.Run()
 	for i, e := range edges {

@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"cludistream/internal/transport"
+	"cludistream/internal/uplink"
 )
 
 // mustLink / mustFaultyLink / mustCourier unwrap the error-returning
@@ -29,7 +32,7 @@ func mustFaultyLink(t *testing.T, s *Simulator, latency, bandwidth float64, plan
 
 func mustCourier(t *testing.T, s *Simulator, link *Link, base, max float64, rng *rand.Rand) *Courier {
 	t.Helper()
-	c, err := s.NewCourier(link, base, max, rng)
+	c, err := s.NewCourier(link, &uplink.Outbox{Epoch: 1}, base, max, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,23 +227,25 @@ func TestCourierValidation(t *testing.T) {
 	s := NewSimulator()
 	rng := rand.New(rand.NewSource(1))
 	l := mustLink(t, s, 0, 0, nil)
+	ob := &uplink.Outbox{Epoch: 1}
 	for _, tc := range []struct {
 		name string
 		do   func() error
 	}{
-		{"zero backoff", func() error { _, err := s.NewCourier(l, 0, 1, rng); return err }},
-		{"negative backoff", func() error { _, err := s.NewCourier(l, -0.5, 1, rng); return err }},
-		{"NaN backoff", func() error { _, err := s.NewCourier(l, math.NaN(), 1, rng); return err }},
-		{"negative max backoff", func() error { _, err := s.NewCourier(l, 0.1, -1, rng); return err }},
-		{"nil rng", func() error { _, err := s.NewCourier(l, 0.1, 1, nil); return err }},
-		{"nil link", func() error { _, err := s.NewCourier(nil, 0.1, 1, rng); return err }},
+		{"zero backoff", func() error { _, err := s.NewCourier(l, ob, 0, 1, rng); return err }},
+		{"negative backoff", func() error { _, err := s.NewCourier(l, ob, -0.5, 1, rng); return err }},
+		{"NaN backoff", func() error { _, err := s.NewCourier(l, ob, math.NaN(), 1, rng); return err }},
+		{"negative max backoff", func() error { _, err := s.NewCourier(l, ob, 0.1, -1, rng); return err }},
+		{"nil rng", func() error { _, err := s.NewCourier(l, ob, 0.1, 1, nil); return err }},
+		{"nil link", func() error { _, err := s.NewCourier(nil, ob, 0.1, 1, rng); return err }},
+		{"nil outbox", func() error { _, err := s.NewCourier(l, nil, 0.1, 1, rng); return err }},
 	} {
 		if err := tc.do(); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
 	// max < base is raised, not rejected.
-	c, err := s.NewCourier(l, 0.5, 0.1, rng)
+	c, err := s.NewCourier(l, ob, 0.5, 0.1, rng)
 	if err != nil || c == nil {
 		t.Fatalf("max<base rejected: %v", err)
 	}
@@ -402,40 +407,51 @@ func TestFaultPlanOutageWindow(t *testing.T) {
 	}
 }
 
+// deletion returns a small fixed-size message identified by id.
+func deletion(id int32) transport.Message {
+	return transport.Message{Kind: transport.MsgDeletion, SiteID: 1, ModelID: id, Count: 1}
+}
+
+// decoded decodes a delivered frame, failing the test on garbage.
+func decoded(t *testing.T, p []byte) transport.Message {
+	t.Helper()
+	m, err := transport.Decode(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestCourierRetransmitsInOrder(t *testing.T) {
 	s := NewSimulator()
-	var got []byte
+	var got []transport.Message
 	// Outage by arrival time: everything arriving before t=2 is lost.
 	plan := &FaultPlan{Outages: []Outage{{Start: 0, End: 2}}}
-	l := mustFaultyLink(t, s, 0.1, 0, plan, func(p []byte) { got = append(got, p[0]) })
+	l := mustFaultyLink(t, s, 0.1, 0, plan, func(p []byte) { got = append(got, decoded(t, p)) })
 	c := mustCourier(t, s, l, 0.05, 0.4, rand.New(rand.NewSource(3)))
-	for i := byte(0); i < 5; i++ {
-		c.Send([]byte{i})
+	for i := int32(0); i < 5; i++ {
+		c.Send(deletion(i))
 	}
 	s.Run()
 	if len(got) != 5 {
 		t.Fatalf("delivered %d of 5 (pending %d)", len(got), c.Pending())
 	}
-	for i := byte(0); i < 5; i++ {
-		if got[i] != i {
-			t.Fatalf("order violated: %v", got)
+	for i, m := range got {
+		if m.ModelID != int32(i) || m.Epoch != 1 || m.Seq != uint64(i+1) {
+			t.Fatalf("order or stamping violated at %d: %+v", i, m)
 		}
 	}
 	if c.Retries() == 0 || l.RetransmitBytes() == 0 {
 		t.Fatalf("outage survived without retries (retries=%d, retransmit=%d)", c.Retries(), l.RetransmitBytes())
 	}
 	// Goodput counts each payload once; the rest of the wire bytes are
-	// retransmissions and losses.
-	if l.GoodputBytes() != 5 {
-		t.Fatalf("goodput = %d, want 5", l.GoodputBytes())
+	// losses.
+	size := len(transport.Encode(transport.Message{Kind: transport.MsgDeletion, Epoch: 1, Seq: 1}))
+	if l.GoodputBytes() != 5*size {
+		t.Fatalf("goodput = %d, want %d", l.GoodputBytes(), 5*size)
 	}
-	if l.BytesSent() != l.GoodputBytes()+l.RetransmitBytes() {
-		// First attempts that were dropped are neither goodput nor
-		// retransmit... unless every loss was a head retry. Account exactly:
-		_, dropBytes := l.Dropped()
-		if l.BytesSent() != l.GoodputBytes()+dropBytes {
-			t.Fatalf("bytes %d != goodput %d + dropped %d", l.BytesSent(), l.GoodputBytes(), dropBytes)
-		}
+	if _, dropBytes := l.Dropped(); l.BytesSent() != l.GoodputBytes()+dropBytes {
+		t.Fatalf("bytes %d != goodput %d + dropped %d", l.BytesSent(), l.GoodputBytes(), dropBytes)
 	}
 	if c.Delivered() != 5 {
 		t.Fatalf("courier delivered = %d", c.Delivered())
@@ -444,12 +460,12 @@ func TestCourierRetransmitsInOrder(t *testing.T) {
 
 func TestCourierCrashDropsQueue(t *testing.T) {
 	s := NewSimulator()
-	var got int
+	var got []transport.Message
 	plan := &FaultPlan{Outages: []Outage{{Start: 0, End: 10}}}
-	l := mustFaultyLink(t, s, 0, 0, plan, func(p []byte) { got++ })
+	l := mustFaultyLink(t, s, 0, 0, plan, func(p []byte) { got = append(got, decoded(t, p)) })
 	c := mustCourier(t, s, l, 0.1, 0.1, rand.New(rand.NewSource(4)))
-	c.Send([]byte{1})
-	c.Send([]byte{2})
+	c.Send(deletion(1))
+	c.Send(deletion(2))
 	if c.Pending() != 2 {
 		t.Fatalf("pending = %d", c.Pending())
 	}
@@ -459,17 +475,15 @@ func TestCourierCrashDropsQueue(t *testing.T) {
 	}
 	// The orphaned retry timer fires harmlessly; nothing is delivered.
 	s.Run()
-	if got != 0 {
-		t.Fatalf("delivered %d after crash", got)
+	if len(got) != 0 {
+		t.Fatalf("delivered %d after crash", len(got))
 	}
-	// The restarted incarnation can send again.
-	s2 := NewSimulator()
-	l2 := mustLink(t, s2, 0, 0, func(p []byte) { got++ })
-	c2 := mustCourier(t, s2, l2, 0.1, 0.1, rand.New(rand.NewSource(4)))
-	c2.Send([]byte{3})
-	s2.Run()
-	if got != 1 {
-		t.Fatalf("restart delivery failed: got %d", got)
+	// The restarted incarnation can send again, under the next epoch with
+	// a fresh sequence space.
+	c.Send(deletion(3))
+	s.Run()
+	if len(got) != 1 || got[0].ModelID != 3 || got[0].Epoch != 2 || got[0].Seq != 1 {
+		t.Fatalf("restart delivery = %+v, want model 3 at epoch 2 seq 1", got)
 	}
 }
 

@@ -13,12 +13,13 @@ import (
 	"sync"
 
 	"cludistream/internal/coordinator"
+	"cludistream/internal/durable"
 	"cludistream/internal/gaussian"
 	"cludistream/internal/linalg"
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
 	"cludistream/internal/transport"
-	"cludistream/internal/window"
+	"cludistream/internal/uplink"
 )
 
 // Config assembles a Cluster.
@@ -46,15 +47,6 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// applyMsg is one coordinator mutation riding a site's apply queue.
-// Exactly one of the two kinds is set; size is its wire-equivalent cost.
-type applyMsg struct {
-	update   site.Update
-	deletion window.Deletion
-	isDel    bool
-	size     int
-}
-
 // Cluster runs the sites.
 type Cluster struct {
 	sites  []*site.Site
@@ -66,7 +58,7 @@ type Cluster struct {
 	// has capacity 1 and works as a pending flag: producers enqueue first,
 	// then set it; the apply goroutine re-checks every queue after
 	// consuming it, so no enqueue is ever missed.
-	queues     []chan applyMsg
+	queues     []chan transport.Message
 	notify     chan struct{}
 	quit       chan struct{}
 	applyWg    sync.WaitGroup
@@ -121,24 +113,21 @@ func New(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("parallel: site %d: %w", i+1, err)
 		}
-		var tr *window.Tracker
-		if cfg.SlidingHorizonChunks > 0 {
-			tr, err = window.NewTracker(st, cfg.SlidingHorizonChunks)
-			if err != nil {
-				return nil, err
-			}
+		em, err := uplink.NewEmitter(st, cfg.SlidingHorizonChunks)
+		if err != nil {
+			return nil, err
 		}
 		in := make(chan linalg.Vector, cfg.Buffer)
 		c.sites = append(c.sites, st)
 		c.inputs = append(c.inputs, in)
-		c.queues = append(c.queues, make(chan applyMsg, cfg.Buffer))
+		c.queues = append(c.queues, make(chan transport.Message, cfg.Buffer))
 		var g *telemetry.Gauge
 		if cfg.Telemetry != nil {
 			g = cfg.Telemetry.Gauge(fmt.Sprintf("parallel.queue_depth.site%d", i+1))
 		}
 		c.depth = append(c.depth, g)
 		c.wg.Add(1)
-		go c.run(st, tr, in, i+1)
+		go c.run(em, in, i+1)
 	}
 	if !c.mutexApply {
 		c.applyWg.Add(1)
@@ -147,67 +136,41 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// run is one site goroutine: observe records, hand resulting updates to
-// the apply path. After an error it keeps draining its channel so feeders
-// never block; the error surfaces through Feed/Close.
-func (c *Cluster) run(st *site.Site, tr *window.Tracker, in <-chan linalg.Vector, siteID int) {
+// run is one site goroutine: observe records, hand the resulting messages
+// (updates, then sliding-window deletions) to the apply path. After an
+// error it keeps draining its channel so feeders never block; the error
+// surfaces through Feed/Close.
+func (c *Cluster) run(em *uplink.Emitter, in <-chan linalg.Vector, siteID int) {
 	defer c.wg.Done()
 	failed := false
 	for x := range in {
 		if failed {
 			continue
 		}
-		ups, err := st.Observe(x)
+		msgs, err := em.Observe(x)
 		if err != nil {
 			c.setErr(err)
 			failed = true
 			continue
 		}
-		for _, u := range ups {
-			if err := c.submitUpdate(siteID, u); err != nil {
+		for _, m := range msgs {
+			if c.mutexApply {
+				err = c.apply(m)
+			} else {
+				c.enqueue(siteID, m)
+			}
+			if err != nil {
 				c.setErr(err)
 				failed = true
 				break
 			}
 		}
-		if failed || tr == nil {
-			continue
-		}
-		for _, d := range tr.Expire(siteID) {
-			if err := c.submitDeletion(siteID, d); err != nil {
-				c.setErr(err)
-				failed = true
-				break
-			}
-		}
 	}
-}
-
-func (c *Cluster) submitUpdate(siteID int, u site.Update) error {
-	m := applyMsg{update: u, size: transport.FromSiteUpdate(u).WireSize()}
-	if c.mutexApply {
-		return c.apply(m)
-	}
-	c.enqueue(siteID, m)
-	return nil
-}
-
-func (c *Cluster) submitDeletion(siteID int, d window.Deletion) error {
-	m := applyMsg{
-		deletion: d,
-		isDel:    true,
-		size:     transport.Message{Kind: transport.MsgDeletion}.WireSize(),
-	}
-	if c.mutexApply {
-		return c.apply(m)
-	}
-	c.enqueue(siteID, m)
-	return nil
 }
 
 // enqueue puts one message on the site's apply queue (blocking only on
 // apply-loop backpressure) and flags the apply goroutine.
-func (c *Cluster) enqueue(siteID int, m applyMsg) {
+func (c *Cluster) enqueue(siteID int, m transport.Message) {
 	c.queues[siteID-1] <- m
 	select {
 	case c.notify <- struct{}{}:
@@ -256,20 +219,15 @@ func (c *Cluster) drainQueues() {
 // apply performs one coordinator mutation and accounts its wire cost. In
 // sharded mode only the apply goroutine calls it; coordMu is still taken
 // so Snapshot/GlobalMixture can read concurrently.
-func (c *Cluster) apply(m applyMsg) error {
+func (c *Cluster) apply(m transport.Message) error {
 	c.coordMu.Lock()
-	var err error
-	if m.isDel {
-		err = c.coord.HandleDeletion(m.deletion.SiteID, m.deletion.ModelID, m.deletion.Count)
-	} else {
-		err = c.coord.HandleUpdate(m.update)
-	}
+	err := durable.Apply(c.coord, m)
 	c.coordMu.Unlock()
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.bytesOut += m.size
+	c.bytesOut += m.WireSize()
 	c.messages++
 	c.mu.Unlock()
 	return nil

@@ -160,6 +160,37 @@ func TestClusterSlidingWindow(t *testing.T) {
 	})
 }
 
+// TestClusterSlidingRegimeReturn: when the stream returns to a regime
+// whose model already left the window (A→B→A), the site re-emits a weight
+// update for a model the coordinator deleted. The cluster must send it as
+// a full model, so nothing is refused and the window holds exactly the
+// horizon's records.
+func TestClusterSlidingRegimeReturn(t *testing.T) {
+	cfg := testConfig(1)
+	cfg.SlidingHorizonChunks = 2
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, mean := range []float64{0, 30, 0} {
+		mix := regime(mean)
+		for rec := 0; rec < 200*3; rec++ {
+			if err := c.Feed(0, mix.Sample(rng)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	c.Snapshot(func(co *coordinator.Coordinator) {
+		if total := co.TotalWeight(); math.Abs(total-400) > 1e-6 {
+			t.Fatalf("mass = %v, want 400", total)
+		}
+	})
+}
+
 func TestClusterMatchesSequentialResult(t *testing.T) {
 	// The concurrent runtime must produce the same site models as driving
 	// the same site sequentially — concurrency must not change results.

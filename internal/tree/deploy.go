@@ -17,6 +17,7 @@ import (
 	"cludistream/internal/site"
 	"cludistream/internal/telemetry"
 	"cludistream/internal/transport"
+	"cludistream/internal/uplink"
 )
 
 // ErrRecoveryMismatch reports that a recovered aggregator's state is not
@@ -25,8 +26,9 @@ var ErrRecoveryMismatch = errors.New("tree: recovered node state differs from pr
 
 // CrashSpec schedules one interior-node crash: at Start the node's durable
 // store is cut off mid-write, its uplink retransmission queue dies with the
-// process, and arrivals are lost until End, when the node recovers from
-// checkpoint + WAL and rejoins its parent under a bumped epoch.
+// process (the uplink's next epoch starts), and arrivals are lost until
+// End, when the node recovers from checkpoint + WAL and rejoins its parent
+// under that epoch.
 type CrashSpec struct {
 	Node  int     `json:"node"` // internal node index (0 = root)
 	Start float64 `json:"start"`
@@ -89,29 +91,16 @@ type edge struct {
 	fromID int // wire SiteID of the sender
 	toNode int
 	link   *netsim.Link
-	cour   *netsim.Courier
-	epoch  uint32
-	seq    uint64
-	// sent is the per-epoch sender-side entitlement at exact wire sizes:
-	// what the receiver applies can never exceed it, and must equal the
-	// current epoch's tally once the deployment drains.
-	sent map[uint32]*SendTally
+	// ob stamps the child's (epoch, seq) and keeps the per-epoch
+	// sender-side entitlement at exact wire sizes: what the receiver
+	// applies can never exceed it, and must equal the current epoch's
+	// tally once the deployment drains.
+	ob   *uplink.Outbox
+	cour *netsim.Courier
 }
 
 // SendTally is one epoch's sender-side message/byte entitlement.
-type SendTally struct {
-	Msgs  int
-	Bytes int
-}
-
-func (e *edge) tally() *SendTally {
-	t := e.sent[e.epoch]
-	if t == nil {
-		t = &SendTally{}
-		e.sent[e.epoch] = t
-	}
-	return t
-}
+type SendTally = uplink.Tally
 
 type node struct {
 	idx      int
@@ -299,7 +288,7 @@ func (d *Deployment) storeOptions() durable.Options {
 }
 
 func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, outages []netsim.Outage, ordinal int) (*edge, error) {
-	e := &edge{fromID: fromID, toNode: toNode, epoch: 1, sent: map[uint32]*SendTally{}}
+	e := &edge{fromID: fromID, toNode: toNode, ob: &uplink.Outbox{Epoch: 1, SenderID: int32(fromID)}}
 	var plan *netsim.FaultPlan
 	if d.cfg.DropProb > 0 || d.cfg.DupProb > 0 || len(outages) > 0 {
 		plan = &netsim.FaultPlan{
@@ -318,7 +307,7 @@ func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, outages []netsim
 		return nil, err
 	}
 	link.SetTelemetry(d.cfg.Telemetry)
-	cour, err := d.sim.NewCourier(link, d.cfg.RetryBackoff, d.cfg.RetryMaxBackoff,
+	cour, err := d.sim.NewCourier(link, e.ob, d.cfg.RetryBackoff, d.cfg.RetryMaxBackoff,
 		rand.New(rand.NewSource(d.cfg.Seed*17+int64(ordinal)*999983+3)))
 	if err != nil {
 		return nil, err
@@ -326,20 +315,6 @@ func (d *Deployment) newEdge(fromID, toNode int, spec LinkSpec, outages []netsim
 	cour.SetTelemetry(d.cfg.Telemetry)
 	e.link, e.cour = link, cour
 	return e, nil
-}
-
-// send stamps the next (epoch, seq) on msg, charges the sender-side
-// entitlement, and hands the frame to the edge's courier.
-func (d *Deployment) send(e *edge, msg transport.Message) {
-	e.seq++
-	msg.Seq = e.seq
-	msg.Epoch = e.epoch
-	msg.SiteID = int32(e.fromID)
-	payload := transport.Encode(msg)
-	t := e.tally()
-	t.Msgs++
-	t.Bytes += len(payload)
-	e.cour.Send(payload)
 }
 
 // deliver is every edge's receive path: the node's receive pipeline
@@ -381,14 +356,17 @@ func (d *Deployment) deliver(e *edge, payload []byte) {
 	d.syncUp(n)
 }
 
-// syncUp runs the node's upload-on-change rule toward its parent.
-func (d *Deployment) syncUp(n *node) {
+// syncUp runs the node's upload-on-change rule toward its parent and
+// reports whether it sent anything.
+func (d *Deployment) syncUp(n *node) bool {
 	if n.up == nil || d.deliveryErr != nil {
-		return
+		return false
 	}
-	for _, msg := range n.mirror.Sync(n.rcv.Coord.GlobalMixture(), n.rcv.Coord.TotalWeight()) {
-		d.send(n.up, msg)
+	msgs := n.mirror.Sync(n.rcv.Coord.GlobalMixture(), n.rcv.Coord.TotalWeight())
+	for _, msg := range msgs {
+		n.up.cour.Send(msg)
 	}
+	return len(msgs) > 0
 }
 
 func (d *Deployment) crashNode(n *node) {
@@ -409,7 +387,8 @@ func (d *Deployment) crashNode(n *node) {
 		return
 	}
 	if n.up != nil {
-		// The uplink retransmission queue lives in the dead process.
+		// The uplink retransmission queue lives in the dead process; the
+		// node rejoins its parent as a new incarnation.
 		n.up.cour.Crash()
 	}
 }
@@ -442,11 +421,8 @@ func (d *Deployment) recoverNode(n *node) {
 		n.preCrash = nil
 	}
 	if n.up != nil {
-		// Rejoin the parent as a new incarnation: fresh sequence space,
-		// no deletion owed for models the parent will discard on the
-		// first new-epoch frame.
-		n.up.epoch++
-		n.up.seq = 0
+		// The new incarnation owes no deletion for models the parent will
+		// discard on its first new-epoch frame.
 		n.mirror.Reset()
 		d.syncUp(n)
 	}
@@ -470,7 +446,7 @@ func (d *Deployment) Feed(i int, x linalg.Vector) error {
 		if d.cfg.OnEmit != nil {
 			d.cfg.OnEmit(i+1, u)
 		}
-		d.send(lf.up, transport.FromSiteUpdate(u))
+		lf.up.cour.Send(transport.FromSiteUpdate(u))
 	}
 	return d.deliveryErr
 }
@@ -493,9 +469,7 @@ func (d *Deployment) Drain() error {
 			// Tolerance-suppressed drift must flush at the end of the
 			// run, so the final barrier uses exact change detection.
 			n.mirror.Exact = true
-			before := n.up.seq
-			d.syncUp(n)
-			if n.up.seq != before {
+			if d.syncUp(n) {
 				sent = true
 			}
 			n.mirror.Exact = d.cfg.ExactSync
@@ -586,7 +560,7 @@ func (d *Deployment) edges() []*edge {
 // the wire SiteID the receiver sees).
 func (d *Deployment) SenderEpoch(toNode, childID int) uint32 {
 	if e := d.findEdge(toNode, childID); e != nil {
-		return e.epoch
+		return e.ob.Epoch
 	}
 	return 0
 }
@@ -595,9 +569,7 @@ func (d *Deployment) SenderEpoch(toNode, childID int) uint32 {
 // epoch: how many messages and exact wire bytes were handed to transport.
 func (d *Deployment) SentTally(toNode, childID int, epoch uint32) SendTally {
 	if e := d.findEdge(toNode, childID); e != nil {
-		if t := e.sent[epoch]; t != nil {
-			return *t
-		}
+		return e.ob.Sent(epoch)
 	}
 	return SendTally{}
 }
@@ -630,15 +602,12 @@ type EdgeStats struct {
 func (d *Deployment) EdgeStatsAll() []EdgeStats {
 	var out []EdgeStats
 	for _, e := range d.edges() {
-		cur := e.sent[e.epoch]
-		if cur == nil {
-			cur = &SendTally{}
-		}
+		cur := e.ob.Sent(e.ob.Epoch)
 		_, droppedBytes := e.link.Dropped()
 		out = append(out, EdgeStats{
 			From: e.fromID, To: e.toNode,
 			Depth:     d.nodes[e.toNode].depth,
-			Epoch:     e.epoch,
+			Epoch:     e.ob.Epoch,
 			SentMsgs:  cur.Msgs,
 			SentBytes: cur.Bytes,
 			WireBytes: e.link.BytesSent(), GoodputBytes: e.link.GoodputBytes(),
